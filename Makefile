@@ -89,9 +89,12 @@ bench:
 
 # bench-smoke compiles and runs the incremental-solver benchmark family once
 # per benchmark, so the session workload shape (shared prefix, sibling
-# targets, warm refutation) cannot bit-rot between full benchmark runs.
+# targets, warm refutation) cannot bit-rot between full benchmark runs; and
+# likewise the checkpoint save/load benchmarks (lexer snapshot at run 270,
+# reporting bytes per checkpoint).
 bench-smoke:
 	$(GO) test ./internal/smt/ -run '^$$' -bench SolveIncremental -benchtime 1x
+	$(GO) test ./internal/campaign/ -run '^$$' -bench 'SaveCheckpoint|LoadCheckpoint' -benchtime 1x
 
 # bench-json captures the quick experiment suite with per-experiment metric
 # snapshots (workers, proof-cache traffic, wall/solve seconds, full registry).

@@ -186,6 +186,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 		}
 		if *corpusDir != "" {
+			// The campaign directory is single-writer: hold its session lock
+			// for the whole session, so a server or fleet coordinator over the
+			// same corpus fails loudly instead of interleaving writes with us.
+			lock, err := hotg.AcquireCampaignLock(*corpusDir)
+			if err != nil {
+				fmt.Fprintln(stderr, "hotg:", err)
+				return 2
+			}
+			defer lock.Release()
 			camp, err = hotg.OpenCampaign(*corpusDir, w.Name, m.String(), o)
 			if err != nil {
 				fmt.Fprintln(stderr, "hotg:", err)

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hotg"
 )
 
 var regen = flag.Bool("regen", false, "regenerate golden files")
@@ -107,6 +109,38 @@ func TestCampaignCLIRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "(0 new)") {
 		t.Errorf("corpus-seeded session reported new crash buckets:\n%s", stdout)
+	}
+}
+
+// TestCampaignCLILockHeld: a -corpus session over a directory whose lock a
+// live process holds (a server session, say; simulated by holding the lock
+// in-test) is refused with the owner's pid and leaves the corpus untouched.
+func TestCampaignCLILockHeld(t *testing.T) {
+	dir := t.TempDir()
+	lock, err := hotg.AcquireCampaignLock(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lock.Release()
+	code, _, stderr := runCLI(t, "-workload", "foo", "-runs", "10", "-corpus", dir)
+	if code == 0 {
+		t.Fatal("session over a locked corpus exited 0")
+	}
+	if want := fmt.Sprintf("locked by live session (pid %d)", os.Getpid()); !strings.Contains(stderr, want) {
+		t.Errorf("stderr = %q, want it to name the holder: %q", stderr, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
+		t.Errorf("refused session wrote a manifest (stat err %v)", err)
+	}
+
+	// Released, the same directory is usable, and the session's own lock is
+	// gone when it exits.
+	lock.Release()
+	if code, _, stderr := runCLI(t, "-workload", "foo", "-runs", "10", "-corpus", dir); code != 0 {
+		t.Fatalf("session after release exited %d\nstderr: %s", code, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "LOCK")); !os.IsNotExist(err) {
+		t.Errorf("session left its lock behind (stat err %v)", err)
 	}
 }
 

@@ -325,8 +325,8 @@ func TestCheckpointRoundTripAndCorruption(t *testing.T) {
 	if err := os.WriteFile(cpath, munged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LatestCheckpoint(); err == nil {
-		t.Error("corrupted checkpoint accepted")
+	if _, err := c.LatestCheckpoint(); err == nil || !strings.Contains(err.Error(), "integrity hash mismatch") {
+		t.Errorf("checkpoint with one flipped payload byte: LatestCheckpoint = %v, want an integrity hash mismatch", err)
 	}
 }
 

@@ -20,6 +20,8 @@ const CheckpointFormatVersion = 1
 
 // checkpointEnvelope frames a snapshot on disk with an integrity hash, so a
 // torn or bit-rotted checkpoint is detected at load rather than resumed from.
+// SaveCheckpoint writes the same fields by appending (see there); loads
+// decode it.
 type checkpointEnvelope struct {
 	FormatVersion int             `json:"format_version"`
 	Runs          int             `json:"runs"`
@@ -43,20 +45,15 @@ func (c *Campaign) SaveCheckpoint(s *search.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("campaign: encoding snapshot: %w", err)
 	}
+	// Frame the envelope by appending, not by marshalling a checkpointEnvelope:
+	// json.Marshal would re-scan the (already compact) payload to compact it
+	// as a RawMessage. The bytes are the same as that Marshal's.
 	sum := sha256.Sum256(payload)
-	env := checkpointEnvelope{
-		FormatVersion: CheckpointFormatVersion,
-		Runs:          s.Runs,
-		Sum:           hex.EncodeToString(sum[:]),
-		Snapshot:      payload,
-	}
-	// Plain Marshal, not MarshalIndent: indentation would reformat the
-	// embedded snapshot bytes and break the integrity hash over them.
-	data, err := json.Marshal(&env)
-	if err != nil {
-		return fmt.Errorf("campaign: encoding checkpoint: %w", err)
-	}
-	data = append(data, '\n')
+	data := make([]byte, 0, len(payload)+128)
+	data = fmt.Appendf(data, `{"format_version":%d,"runs":%d,"sha256":"%x","snapshot":`,
+		CheckpointFormatVersion, s.Runs, sum)
+	data = append(data, payload...)
+	data = append(data, "}\n"...)
 	name := fmt.Sprintf("ckpt-%09d.json", s.Runs)
 	if err := WriteFileAtomic(filepath.Join(c.checkpointsDir(), name), data, 0o644); err != nil {
 		return err
@@ -107,19 +104,38 @@ func (c *Campaign) loadCheckpoint(path string) (*search.Snapshot, error) {
 		return nil, fmt.Errorf("campaign: checkpoint %s: format version %d, this build reads %d",
 			path, env.FormatVersion, CheckpointFormatVersion)
 	}
-	// Hash the compacted payload so a checkpoint that was pretty-printed by
-	// an external tool (whitespace-only change) still verifies.
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, env.Snapshot); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
-	}
-	sum := sha256.Sum256(compact.Bytes())
-	if hex.EncodeToString(sum[:]) != env.Sum {
-		return nil, fmt.Errorf("campaign: checkpoint %s: integrity hash mismatch", path)
+	// The payload is hashed as written. Only when that misses is it hashed
+	// again compacted, so a checkpoint that was pretty-printed by an external
+	// tool (whitespace-only change) still verifies without every load paying
+	// for a second scan.
+	if !sumMatches(env.Snapshot, env.Sum) {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, env.Snapshot); err != nil {
+			return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
+		}
+		if !sumMatches(compact.Bytes(), env.Sum) {
+			return nil, fmt.Errorf("campaign: checkpoint %s: integrity hash mismatch", path)
+		}
 	}
 	var snap search.Snapshot
 	if err := json.Unmarshal(env.Snapshot, &snap); err != nil {
+		// A snapshot from another format version fails to decode where the
+		// encodings differ; report the version, not the field that tripped.
+		// (One that decodes is rejected by Validate's version check.)
+		var v struct {
+			FormatVersion int `json:"format_version"`
+		}
+		if json.Unmarshal(env.Snapshot, &v) == nil && v.FormatVersion != search.SnapshotFormatVersion {
+			return nil, fmt.Errorf("campaign: checkpoint %s: snapshot has format version %d; this build reads version %d",
+				path, v.FormatVersion, search.SnapshotFormatVersion)
+		}
 		return nil, fmt.Errorf("campaign: checkpoint %s: %w", path, err)
 	}
 	return &snap, nil
+}
+
+// sumMatches reports whether data hashes to the hex sha256 want.
+func sumMatches(data []byte, want string) bool {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:]) == want
 }

@@ -3,8 +3,10 @@ package search
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"hotg/internal/concolic"
@@ -31,7 +33,9 @@ import (
 // SnapshotFormatVersion is the checkpoint format this build reads and writes.
 // Snapshots with a different version are rejected on restore — state formats
 // evolve by bumping the version, never by silently reinterpreting old bytes.
-const SnapshotFormatVersion = 1
+// Version 2 packs expected branch traces and dedup keys (see trace and
+// keySet); DESIGN.md §9 records what changed.
+const SnapshotFormatVersion = 2
 
 // CheckpointOptions configures periodic coordinator-state snapshots.
 type CheckpointOptions struct {
@@ -99,10 +103,10 @@ type Snapshot struct {
 	// Hot and Cold are the two work queues, in order.
 	Hot  []itemRec `json:"hot,omitempty"`
 	Cold []itemRec `json:"cold,omitempty"`
-	// Tried and Targeted are the dedup sets, base64-encoded (the keys are
-	// compact binary encodings, not UTF-8) and sorted for stable bytes.
-	Tried    []string `json:"tried,omitempty"`
-	Targeted []string `json:"targeted,omitempty"`
+	// Tried and Targeted are the dedup sets, sorted for stable bytes and
+	// packed (see keySet).
+	Tried    keySet `json:"tried,omitempty"`
+	Targeted keySet `json:"targeted,omitempty"`
 	// Prove and Solve are the proof cache, sorted by key.
 	Prove []proveRec `json:"prove,omitempty"`
 	Solve []solveRec `json:"solve,omitempty"`
@@ -147,25 +151,177 @@ type statsRec struct {
 // the default function); absent for first-order programs, so their snapshots
 // are byte-identical to earlier builds.
 type itemRec struct {
-	Input    []int64            `json:"input"`
-	Funcs    []string           `json:"funcs,omitempty"`
-	Expected []mini.BranchEvent `json:"expected,omitempty"`
-	Bound    int                `json:"bound,omitempty"`
-	Rung     int                `json:"rung,omitempty"`
-	NoExpand bool               `json:"no_expand,omitempty"`
-	Pending  *pendingRec        `json:"pending,omitempty"`
+	Input    []int64     `json:"input"`
+	Funcs    []string    `json:"funcs,omitempty"`
+	Expected trace       `json:"expected,omitempty"`
+	Bound    int         `json:"bound,omitempty"`
+	Rung     int         `json:"rung,omitempty"`
+	NoExpand bool        `json:"no_expand,omitempty"`
+	Pending  *pendingRec `json:"pending,omitempty"`
 }
 
 // pendingRec is the serialized form of a multi-step continuation.
 type pendingRec struct {
-	Strategy *fol.StrategyRec   `json:"strategy"`
-	Alt      *sym.ExprRec       `json:"alt"`
-	Expected []mini.BranchEvent `json:"expected,omitempty"`
-	Fallback []int64            `json:"fallback"`
-	Funcs    []string           `json:"funcs,omitempty"`
-	Bound    int                `json:"bound"`
-	Retries  int                `json:"retries"`
-	Hot      bool               `json:"hot,omitempty"`
+	Strategy *fol.StrategyRec `json:"strategy"`
+	Alt      *sym.ExprRec     `json:"alt"`
+	Expected trace            `json:"expected,omitempty"`
+	Fallback []int64          `json:"fallback"`
+	Funcs    []string         `json:"funcs,omitempty"`
+	Bound    int              `json:"bound"`
+	Retries  int              `json:"retries"`
+	Hot      bool             `json:"hot,omitempty"`
+}
+
+// Expected traces and dedup keys are most of a snapshot's bytes, so both are
+// packed: a sequence of uvarints (and, for keys, raw bytes), written as one
+// base64 string. The types below are TextMarshalers, not json.Marshalers, so
+// encoding/json writes the string without re-scanning it. Decoding is strict:
+// bad base64, a truncated, overlong or non-minimal uvarint, or any value out
+// of range is an error, never a silently dropped element.
+
+// trace is an expected branch trace in its serialized form, one uvarint per
+// event: ID<<1 | taken. Branch IDs are range-checked against the program on
+// restore (checkTrace).
+type trace []mini.BranchEvent
+
+// MarshalText implements encoding.TextMarshaler.
+func (t trace) MarshalText() ([]byte, error) {
+	packed := make([]byte, 0, len(t)+len(t)/4)
+	for _, ev := range t {
+		v := uint64(ev.ID) << 1
+		if ev.Taken {
+			v |= 1
+		}
+		packed = binary.AppendUvarint(packed, v)
+	}
+	return encodePacked(packed), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler.
+func (t *trace) UnmarshalText(text []byte) error {
+	packed, err := decodePacked(text)
+	if err != nil {
+		return fmt.Errorf("search: expected trace: %w", err)
+	}
+	out := make(trace, 0, len(packed)) // every event takes at least one byte
+	for off := 0; off < len(packed); {
+		v, k, err := readUvarint(packed, off)
+		if err != nil {
+			return fmt.Errorf("search: expected trace: %w", err)
+		}
+		if v>>1 > math.MaxInt {
+			return fmt.Errorf("search: expected trace: branch ID %d at byte %d overflows int", v>>1, off)
+		}
+		out = append(out, mini.BranchEvent{ID: int(v >> 1), Taken: v&1 == 1})
+		off += k
+	}
+	*t = out
+	return nil
+}
+
+// checkTrace rejects a trace naming a branch the program does not have.
+func checkTrace(t trace, branches int) error {
+	for i, ev := range t {
+		if ev.ID < 0 || ev.ID >= branches {
+			return fmt.Errorf("search: expected trace event %d names branch %d, program has %d", i, ev.ID, branches)
+		}
+	}
+	return nil
+}
+
+// keySet is a dedup set in its serialized form: the keys (compact binary
+// encodings, not UTF-8) in strictly increasing order, front-coded — each key
+// is uvarint(bytes shared with the previous key), uvarint(length of the
+// rest), the rest. Keys sharing a long path prefix cost only their suffixes.
+type keySet []string
+
+// MarshalText implements encoding.TextMarshaler. The keys must be sorted and
+// distinct (sortedKeys of a set).
+func (ks keySet) MarshalText() ([]byte, error) {
+	var packed []byte
+	prev := ""
+	for _, k := range ks {
+		n := 0
+		for n < len(prev) && n < len(k) && prev[n] == k[n] {
+			n++
+		}
+		packed = binary.AppendUvarint(packed, uint64(n))
+		packed = binary.AppendUvarint(packed, uint64(len(k)-n))
+		packed = append(packed, k[n:]...)
+		prev = k
+	}
+	return encodePacked(packed), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler. Keys out of order or
+// repeated are rejected, so a decoded set re-encodes to the same bytes.
+func (ks *keySet) UnmarshalText(text []byte) error {
+	packed, err := decodePacked(text)
+	if err != nil {
+		return fmt.Errorf("search: dedup keys: %w", err)
+	}
+	var out keySet
+	prev := ""
+	for off := 0; off < len(packed); {
+		shared, k, err := readUvarint(packed, off)
+		if err != nil {
+			return fmt.Errorf("search: dedup keys: %w", err)
+		}
+		off += k
+		rest, k, err := readUvarint(packed, off)
+		if err != nil {
+			return fmt.Errorf("search: dedup keys: %w", err)
+		}
+		off += k
+		if shared > uint64(len(prev)) || rest > uint64(len(packed)-off) {
+			return fmt.Errorf("search: dedup keys: key %d overruns its data", len(out))
+		}
+		key := prev[:shared] + string(packed[off:off+int(rest)])
+		if len(out) > 0 && key <= prev {
+			return fmt.Errorf("search: dedup keys: key %d is out of order", len(out))
+		}
+		out = append(out, key)
+		prev = key
+		off += int(rest)
+	}
+	*ks = out
+	return nil
+}
+
+// set returns the keys as a membership map.
+func (ks keySet) set() map[string]bool {
+	m := make(map[string]bool, len(ks))
+	for _, k := range ks {
+		m[k] = true
+	}
+	return m
+}
+
+// encodePacked and decodePacked are the base64 layer of the packed forms.
+func encodePacked(packed []byte) []byte {
+	out := make([]byte, base64.StdEncoding.EncodedLen(len(packed)))
+	base64.StdEncoding.Encode(out, packed)
+	return out
+}
+
+func decodePacked(text []byte) ([]byte, error) {
+	packed := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
+	n, err := base64.StdEncoding.Strict().Decode(packed, text)
+	return packed[:n], err
+}
+
+// readUvarint reads the uvarint at packed[off:], returning it and its length.
+// A truncated, overflowing or non-minimal (zero final byte) encoding is an
+// error: the packed forms have exactly one spelling.
+func readUvarint(packed []byte, off int) (uint64, int, error) {
+	v, k := binary.Uvarint(packed[off:])
+	switch {
+	case k == 0:
+		return 0, 0, fmt.Errorf("truncated varint at byte %d", off)
+	case k < 0 || (k > 1 && packed[off+k-1] == 0):
+		return 0, 0, fmt.Errorf("overlong varint at byte %d", off)
+	}
+	return v, k, nil
 }
 
 // proveRec is one higher-order proof-cache entry.
@@ -294,28 +450,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// encodeBinKeys serializes a binary-keyed dedup set as sorted base64 strings.
-func encodeBinKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, base64.StdEncoding.EncodeToString([]byte(k)))
-	}
-	sort.Strings(out)
-	return out
-}
-
-func decodeBinKeys(keys []string) (map[string]bool, error) {
-	m := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		raw, err := base64.StdEncoding.DecodeString(k)
-		if err != nil {
-			return nil, fmt.Errorf("search: bad dedup key %q: %w", k, err)
-		}
-		m[string(raw)] = true
-	}
-	return m, nil
-}
-
 // encodeFuncVals renders function inputs for a snapshot: one canonical string
 // per entry, "" preserving nil entries exactly. A nil slice stays nil (the
 // field is omitted for first-order programs).
@@ -378,9 +512,12 @@ func encodeItem(it item) (itemRec, error) {
 	return rec, nil
 }
 
-func decodeItem(rec itemRec, res *sym.Resolver) (item, error) {
+func decodeItem(rec itemRec, res *sym.Resolver, branches int) (item, error) {
 	if rec.Rung < 0 || rec.Rung >= int(NumRungs) {
 		return item{}, fmt.Errorf("search: item rung %d out of range", rec.Rung)
+	}
+	if err := checkTrace(rec.Expected, branches); err != nil {
+		return item{}, err
 	}
 	funcs, err := decodeFuncVals(rec.Funcs)
 	if err != nil {
@@ -395,6 +532,9 @@ func decodeItem(rec itemRec, res *sym.Resolver) (item, error) {
 		noExpand: rec.NoExpand,
 	}
 	if p := rec.Pending; p != nil {
+		if err := checkTrace(p.Expected, branches); err != nil {
+			return item{}, fmt.Errorf("search: pending continuation: %w", err)
+		}
 		strat, err := fol.DecodeStrategy(p.Strategy, res)
 		if err != nil {
 			return item{}, err
@@ -431,10 +571,10 @@ func encodeItems(items []item) ([]itemRec, error) {
 	return out, nil
 }
 
-func decodeItems(recs []itemRec, res *sym.Resolver) ([]item, error) {
+func decodeItems(recs []itemRec, res *sym.Resolver, branches int) ([]item, error) {
 	var out []item
 	for i, rec := range recs {
-		it, err := decodeItem(rec, res)
+		it, err := decodeItem(rec, res, branches)
 		if err != nil {
 			return nil, fmt.Errorf("search: queue item %d: %w", i, err)
 		}
@@ -453,8 +593,8 @@ func (s *searcher) snapshot() (*Snapshot, error) {
 		MaxRuns:       s.opts.MaxRuns,
 		Runs:          s.stats.Runs,
 		Stats:         s.stats.encodeRec(),
-		Tried:         encodeBinKeys(s.tried),
-		Targeted:      encodeBinKeys(s.targeted),
+		Tried:         sortedKeys(s.tried),
+		Targeted:      sortedKeys(s.targeted),
 	}
 	if s.eng.Samples.Len() > 0 {
 		var buf bytes.Buffer
@@ -521,18 +661,13 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 	res := sym.NewResolver(s.eng.Pool, s.eng.InputVars)
 	s.stats.applyRec(snap.Stats)
 	var err error
-	if s.hot, err = decodeItems(snap.Hot, res); err != nil {
+	if s.hot, err = decodeItems(snap.Hot, res, snap.Branches); err != nil {
 		return err
 	}
-	if s.cold, err = decodeItems(snap.Cold, res); err != nil {
+	if s.cold, err = decodeItems(snap.Cold, res, snap.Branches); err != nil {
 		return err
 	}
-	if s.tried, err = decodeBinKeys(snap.Tried); err != nil {
-		return err
-	}
-	if s.targeted, err = decodeBinKeys(snap.Targeted); err != nil {
-		return err
-	}
+	s.tried, s.targeted = snap.Tried.set(), snap.Targeted.set()
 	for _, rec := range snap.Prove {
 		outcome, ok := fol.ParseOutcome(rec.Outcome)
 		if !ok {

@@ -1,0 +1,159 @@
+package search
+
+import (
+	"encoding/base64"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"hotg/internal/mini"
+)
+
+// TestTraceRoundTripProperty: random traces survive encode/decode exactly,
+// including branch IDs that need two or more varint bytes, and re-encode to
+// the same text.
+func TestTraceRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	multiByte := 0
+	for n := 0; n < 500; n++ {
+		tr := make(trace, rng.Intn(300))
+		for i := range tr {
+			var id int
+			switch rng.Intn(4) {
+			case 0:
+				id = rng.Intn(64) // ID<<1 < 128: one byte
+			case 1:
+				id = 64 + rng.Intn(1<<13) // ID<<1 ≥ 128: two varint bytes
+			case 2:
+				id = rng.Intn(math.MaxInt32)
+			default:
+				id = math.MaxInt - rng.Intn(2) // the widest IDs
+			}
+			if id >= 64 {
+				multiByte++
+			}
+			tr[i] = mini.BranchEvent{ID: id, Taken: rng.Intn(2) == 1}
+		}
+		text, err := tr.MarshalText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got trace
+		if err := got.UnmarshalText(text); err != nil {
+			t.Fatalf("trace %d: %v", n, err)
+		}
+		if len(got) != len(tr) {
+			t.Fatalf("trace %d: %d events back, want %d", n, len(got), len(tr))
+		}
+		for i := range tr {
+			if got[i] != tr[i] {
+				t.Fatalf("trace %d event %d: got %+v, want %+v", n, i, got[i], tr[i])
+			}
+		}
+		again, _ := got.MarshalText()
+		if string(again) != string(text) {
+			t.Fatalf("trace %d re-encodes differently", n)
+		}
+	}
+	if multiByte == 0 {
+		t.Fatal("no multi-byte IDs generated")
+	}
+}
+
+// TestTraceNilStaysNil: an item with no expected trace (a seed) must come
+// back without one — RunRecord.Seed reads expected == nil — while a present
+// trace never decodes to nil.
+func TestTraceNilStaysNil(t *testing.T) {
+	data, err := json.Marshal(itemRec{Input: []int64{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "expected") {
+		t.Fatalf("nil trace serialized: %s", data)
+	}
+	var rec itemRec
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Expected != nil {
+		t.Fatalf("absent trace decoded as %#v, want nil", rec.Expected)
+	}
+	if err := json.Unmarshal([]byte(`{"input":[1],"expected":"AA=="}`), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Expected == nil || len(rec.Expected) != 1 || rec.Expected[0] != (mini.BranchEvent{}) {
+		t.Fatalf("one-event trace decoded as %#v", rec.Expected)
+	}
+}
+
+func b64(raw ...byte) string { return base64.StdEncoding.EncodeToString(raw) }
+
+// TestTraceDecodeStrict: malformed traces are errors, never dropped events.
+func TestTraceDecodeStrict(t *testing.T) {
+	cases := map[string]string{
+		"bad base64":          "!!!!",
+		"non-zero pad bits":   "AB==",
+		"truncated varint":    b64(0x02, 0x80),
+		"overflowing varint":  b64(0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01),
+		"non-minimal varint":  b64(0x81, 0x00),
+		"non-minimal trailer": b64(0x04, 0x80, 0x80, 0x00),
+	}
+	for name, text := range cases {
+		var tr trace
+		if err := tr.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%s: %q decoded to %v", name, text, tr)
+		}
+	}
+}
+
+// TestKeySetRoundTrip: dedup sets with long shared prefixes round-trip and
+// re-encode byte-identically; malformed ones are errors.
+func TestKeySetRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	set := map[string]bool{"": true}
+	for len(set) < 2000 {
+		b := make([]byte, rng.Intn(200))
+		for i := range b {
+			b[i] = byte(rng.Intn(3)) // small alphabet: many shared prefixes
+		}
+		set[string(b)] = true
+	}
+	ks := keySet(sortedKeys(set))
+	text, err := ks.MarshalText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got keySet
+	if err := got.UnmarshalText(text); err != nil {
+		t.Fatal(err)
+	}
+	if !sort.StringsAreSorted(got) || len(got) != len(ks) {
+		t.Fatalf("decoded %d keys (sorted=%v), want %d", len(got), sort.StringsAreSorted(got), len(ks))
+	}
+	for i := range ks {
+		if got[i] != ks[i] {
+			t.Fatalf("key %d: got %q, want %q", i, got[i], ks[i])
+		}
+	}
+	if again, _ := got.MarshalText(); string(again) != string(text) {
+		t.Fatal("key set re-encodes differently")
+	}
+
+	bad := map[string]string{
+		"out of order":     b64(0, 1, 'b', 0, 1, 'a'),
+		"duplicate":        b64(0, 1, 'a', 1, 0),
+		"shared overruns":  b64(0, 1, 'a', 2, 1, 'b'),
+		"suffix overruns":  b64(0, 3, 'a'),
+		"missing length":   b64(0),
+		"non-minimal size": b64(0, 0x81, 0x00, 'a'),
+	}
+	for name, text := range bad {
+		var ks keySet
+		if err := ks.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%s: %q decoded to %q", name, text, ks)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"hotg/internal/concolic"
@@ -328,6 +329,64 @@ func TestSnapshotValidateRejects(t *testing.T) {
 	}
 	if err := snap.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder)); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+}
+
+// TestSnapshotEncodingStable: a lexer snapshot — hundreds of queued items,
+// each with a packed expected trace, and packed dedup sets — encodes,
+// decodes and re-encodes to the same bytes, and the decoded copy validates.
+func TestSnapshotEncodingStable(t *testing.T) {
+	w, _ := lexapp.Get("lexer")
+	_, _, snaps := checkpointedRun(t, w, concolic.ModeHigherOrder, search.Options{MaxRuns: 120}, 1, 60)
+	if len(snaps) == 0 {
+		t.Fatal("no checkpoints taken")
+	}
+	snap := snaps[len(snaps)-1]
+	if len(snap.Cold) == 0 || len(snap.Targeted) == 0 {
+		t.Fatalf("snapshot has %d cold items and %d targeted keys; want both non-empty", len(snap.Cold), len(snap.Targeted))
+	}
+	first, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded search.Snapshot
+	if err := json.Unmarshal(first, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	second, err := json.Marshal(&decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("snapshot re-encodes differently:\nfirst:  %.300s\nsecond: %.300s", first, second)
+	}
+	if err := decoded.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder)); err != nil {
+		t.Errorf("decoded snapshot fails validation: %v", err)
+	}
+}
+
+// TestSnapshotRejectsForeignBranch: an expected trace naming a branch the
+// program does not have fails validation instead of being resumed from.
+func TestSnapshotRejectsForeignBranch(t *testing.T) {
+	w, _ := lexapp.Get("lexer")
+	_, _, snaps := checkpointedRun(t, w, concolic.ModeHigherOrder, search.Options{MaxRuns: 60}, 1, 30)
+	if len(snaps) == 0 || len(snaps[0].Cold) == 0 || len(snaps[0].Cold[0].Expected) == 0 {
+		t.Fatal("no checkpoint with a queued expected trace")
+	}
+	raw, err := json.Marshal(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{snaps[0].Branches, -1} {
+		var bad search.Snapshot
+		if err := json.Unmarshal(raw, &bad); err != nil {
+			t.Fatal(err)
+		}
+		bad.Cold[0].Expected[0].ID = id
+		err := bad.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder))
+		if err == nil || !strings.Contains(err.Error(), "names branch") {
+			t.Errorf("branch %d: Validate = %v, want a foreign-branch error", id, err)
+		}
 	}
 }
 

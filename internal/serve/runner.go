@@ -54,8 +54,11 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	defer lock.Release()
 
 	// Per-session observability: an isolated registry, a recorder-only
-	// tracer (no writer — events live in the ring, streamed by /events).
-	rec := obs.NewFlightRecorder(s.opts.FlightRecorderSize)
+	// tracer (no writer — events live in the session's ring, created when
+	// it started running and streamed by /events).
+	ses.mu.Lock()
+	rec := ses.rec
+	ses.mu.Unlock()
 	tracer := obs.NewTracer(nil).WithRecorder(rec)
 	defer tracer.Close()
 	o := obs.New()
@@ -67,7 +70,7 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	}
 	defer cancel()
 	ses.mu.Lock()
-	ses.o, ses.rec, ses.cancel = o, rec, cancel
+	ses.o, ses.cancel = o, cancel
 	ses.mu.Unlock()
 
 	camp, err := campaign.Open(dir, r.name, r.mode.String(), o)
@@ -124,14 +127,26 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	// engine; a valid snapshot overrides MaxRuns so the continuation is
 	// bit-identical to the interrupted session's remainder. Without a
 	// checkpoint, a reused corpus still warm-starts from its best inputs.
-	if snap, cerr := camp.LatestCheckpoint(); cerr == nil && snap != nil {
-		if verr := snap.Validate(eng); verr == nil {
-			opts.Restore = snap
-			opts.MaxRuns = snap.MaxRuns
-			ses.mu.Lock()
-			ses.resumed = true
-			ses.mu.Unlock()
-		}
+	// A checkpoint that fails to load or validate (corrupt, or written by an
+	// incompatible build) is rejected loudly — a checkpoint_rejected event
+	// and a status field — and the session starts over without it.
+	snap, cerr := camp.LatestCheckpoint()
+	if cerr == nil && snap != nil {
+		cerr = snap.Validate(eng)
+	}
+	switch {
+	case cerr != nil:
+		tracer.Emit(obs.Event{Kind: "checkpoint_rejected", Worker: -1,
+			Str: map[string]string{"err": cerr.Error()}})
+		ses.mu.Lock()
+		ses.ckptRejected = cerr.Error()
+		ses.mu.Unlock()
+	case snap != nil:
+		opts.Restore = snap
+		opts.MaxRuns = snap.MaxRuns
+		ses.mu.Lock()
+		ses.resumed = true
+		ses.mu.Unlock()
 	}
 	if opts.Restore == nil {
 		switch {

@@ -387,6 +387,9 @@ func (s *Server) pumpLocked() {
 		s.queue = s.queue[1:]
 		ses.mu.Lock()
 		ses.state = StateRunning
+		// The recorder exists from the moment the session runs, so /events
+		// never finds a running session without one.
+		ses.rec = obs.NewFlightRecorder(s.opts.FlightRecorderSize)
 		ses.mu.Unlock()
 		s.running++
 		s.wg.Add(1)

@@ -120,7 +120,11 @@ type Status struct {
 	Bugs      int64  `json:"bugs"`
 	Remaining int64  `json:"runs_remaining"`
 	Resumed   bool   `json:"resumed,omitempty"`
-	AgeMS     int64  `json:"age_ms"`
+	// CheckpointRejected is why the corpus's latest checkpoint was not
+	// resumed from (failed integrity check, format or program mismatch);
+	// empty when there was none or it was used.
+	CheckpointRejected string `json:"checkpoint_rejected,omitempty"`
+	AgeMS              int64  `json:"age_ms"`
 }
 
 // Session is one isolated campaign inside the server: its own obs registry,
@@ -140,8 +144,10 @@ type Session struct {
 	mode      string
 	submitted time.Time
 	resumed   bool
-	cancelReq bool
-	cancel    context.CancelFunc
+	// ckptRejected is Status.CheckpointRejected.
+	ckptRejected string
+	cancelReq    bool
+	cancel       context.CancelFunc
 	// o and rec are the per-session observability handles, nil before the
 	// session starts and after eviction.
 	o   *obs.Obs
@@ -168,7 +174,8 @@ func (s *Session) Status() Status {
 	st := Status{
 		ID: s.ID, CorpusID: s.CorpusID, State: s.state, Error: s.errMsg,
 		Workload: s.workload, Mode: s.mode, Resumed: s.resumed,
-		AgeMS: time.Since(s.submitted).Milliseconds(),
+		CheckpointRejected: s.ckptRejected,
+		AgeMS:              time.Since(s.submitted).Milliseconds(),
 	}
 	if s.o != nil {
 		reg := s.o.Metrics
