@@ -44,7 +44,6 @@ import (
 	"hotg/internal/campaign"
 	"hotg/internal/concolic"
 	"hotg/internal/eval"
-	"hotg/internal/fleet"
 	"hotg/internal/fol"
 	"hotg/internal/fuzz"
 	"hotg/internal/lexapp"
@@ -76,6 +75,11 @@ const (
 	// ModeHigherOrder is higher-order test generation (Figure 3).
 	ModeHigherOrder = concolic.ModeHigherOrder
 )
+
+// ParseMode maps a mode name, as printed by Mode.String ("static",
+// "dart-unsound", "dart-sound", "dart-sound-delayed", "higher-order"), back to
+// its Mode. Any other string is an error.
+func ParseMode(s string) (Mode, error) { return concolic.ParseMode(s) }
 
 // Program is a checked program in the mini language.
 type Program = mini.Program
@@ -387,47 +391,6 @@ type CampaignLock = campaign.Lock
 // A lock held by a live process is an error naming its pid. Release it when
 // the session ends.
 func AcquireCampaignLock(dir string) (*CampaignLock, error) { return campaign.AcquireLock(dir) }
-
-// FleetCoordinator owns a canonical search whose compute batches — test
-// executions, validity proofs, satisfiability checks — are served by a fleet
-// of worker processes over HTTP. Canonical stats are bit-identical at any
-// fleet size; see internal/fleet and DESIGN.md §13.
-type FleetCoordinator = fleet.Coordinator
-
-// FleetCoordinatorOptions configures a FleetCoordinator.
-type FleetCoordinatorOptions = fleet.CoordinatorOptions
-
-// FleetWorkerOptions configures one fleet worker process.
-type FleetWorkerOptions = fleet.WorkerOptions
-
-// NewFleetCoordinator builds a fleet coordinator over the canonical engine.
-// Serve its endpoints with ServeFleet and run the search with its Run method.
-func NewFleetCoordinator(eng *Engine, opts FleetCoordinatorOptions) *FleetCoordinator {
-	return fleet.NewCoordinator(eng, opts)
-}
-
-// RunFleetWorker joins the fleet at the coordinator URL and serves compute
-// tasks until retired (nil) or the coordinator becomes unreachable (error).
-// It is the entire lifecycle of a worker process.
-func RunFleetWorker(opts FleetWorkerOptions) error { return fleet.RunWorker(opts) }
-
-// MergeInfo composes several /statusz headline sources into one (later
-// sources win on key collisions, nil sources are skipped).
-func MergeInfo(sources ...func() map[string]int64) func() map[string]int64 {
-	return obshttp.MergeInfo(sources...)
-}
-
-// ServeFleet binds addr and serves the fleet protocol endpoints (/fleet/*)
-// alongside the live introspection surface (/statusz, /metrics, /events,
-// /debug/pprof) on one port, returning the bound address and a shutdown
-// function. info (optional) contributes headline numbers to /statusz —
-// typically MergeInfo of the search headline and coordinator.Info.
-func ServeFleet(addr string, c *FleetCoordinator, o *Observer, info func() map[string]int64) (string, func(), error) {
-	srv := obshttp.New(o)
-	srv.Info = info
-	srv.Mounts = map[string]http.Handler{"/fleet/": c.Handler()}
-	return obshttp.Serve(addr, srv)
-}
 
 // WriteFileAtomic writes data to path via a same-directory temp file and an
 // atomic rename, so readers never observe partial content.

@@ -106,8 +106,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hotg: unknown workload %q\nvalid workloads: %s\n", *workload, validWorkloadList())
 		return 2
 	}
-	m, modeKnown := parseMode(*mode)
-	if !modeKnown && *mode != "random" && *mode != "all" {
+	m, modeErr := hotg.ParseMode(*mode)
+	if modeErr != nil && *mode != "random" && *mode != "all" {
 		fmt.Fprintf(stderr, "hotg: unknown mode %q\nvalid modes: %s\n", *mode, validModeList())
 		return 2
 	}
@@ -187,8 +187,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *corpusDir != "" {
 			// The campaign directory is single-writer: hold its session lock
-			// for the whole session, so a server or fleet coordinator over the
-			// same corpus fails loudly instead of interleaving writes with us.
+			// for the whole session, so a server or another hotg process over
+			// the same corpus fails loudly instead of interleaving writes with
+			// us.
 			lock, err := hotg.AcquireCampaignLock(*corpusDir)
 			if err != nil {
 				fmt.Fprintln(stderr, "hotg:", err)
@@ -468,16 +469,4 @@ func compareAll(stdout io.Writer, w *hotg.Workload, runs int, seed int64, worker
 		})
 		row(m.String(), st)
 	}
-}
-
-func parseMode(s string) (hotg.Mode, bool) {
-	for _, m := range []hotg.Mode{
-		hotg.ModeStatic, hotg.ModeUnsound, hotg.ModeSound,
-		hotg.ModeSoundDelayed, hotg.ModeHigherOrder,
-	} {
-		if m.String() == s {
-			return m, true
-		}
-	}
-	return 0, false
 }

@@ -13,8 +13,7 @@ import (
 // is single-writer by design (RecordRun applies in canonical order, the
 // corpus commit is last-writer-wins), so two live sessions over one directory
 // would silently interleave corpus and checkpoint writes. The lock turns that
-// into a loud open-time error. Fleet workers never take it — they hold no
-// campaign state; only the coordinator process does.
+// into a loud open-time error.
 type Lock struct {
 	path string
 }

@@ -526,3 +526,19 @@ func TestModeString(t *testing.T) {
 		}
 	}
 }
+
+// TestParseMode: ParseMode inverts Mode.String for every mode and rejects
+// every name that is not a mode, including the CLI-only pseudo-modes.
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{ModeStatic, ModeUnsound, ModeSound, ModeSoundDelayed, ModeHigherOrder} {
+		got, err := ParseMode(m.String())
+		if err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, s := range []string{"", "random", "all", "warp-speed"} {
+		if m, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) = %v, want an error", s, m)
+		}
+	}
+}

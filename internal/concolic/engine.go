@@ -70,6 +70,17 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String: it maps a mode's name back to the
+// mode, and rejects every other string.
+func ParseMode(s string) (Mode, error) {
+	for m := ModeStatic; m <= ModeHigherOrder; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
 // Constraint is one conjunct of a path constraint.
 type Constraint struct {
 	// Expr is the constraint formula over the input variables (and, in

@@ -34,14 +34,13 @@ type Server struct {
 
 	// Info, when set, contributes tool-specific headline fields to /statusz
 	// (live run counts, findings, budget remaining, …). It is called on every
-	// request and must be safe for concurrent use. Compose several sources
-	// with MergeInfo.
+	// request and must be safe for concurrent use.
 	Info func() map[string]int64
 
-	// Mounts adds handlers to the introspection mux by pattern — the fleet
-	// coordinator mounts its /fleet/ protocol endpoints here so one port
-	// serves workers and humans alike. Patterns must not collide with the
-	// built-in endpoints.
+	// Mounts adds handlers to the introspection mux by pattern — the
+	// campaign server mounts its /api/ REST surface here so one port serves
+	// the API and the introspection endpoints alike. Patterns must not
+	// collide with the built-in endpoints.
 	Mounts map[string]http.Handler
 
 	// Sessions, when set, contributes per-session rows to /statusz — the
@@ -59,23 +58,6 @@ type SessionStatus struct {
 	ID       string           `json:"id"`
 	State    string           `json:"state"`
 	Headline map[string]int64 `json:"headline,omitempty"`
-}
-
-// MergeInfo composes several /statusz headline sources into one: later
-// sources win on key collisions, nil sources are skipped.
-func MergeInfo(sources ...func() map[string]int64) func() map[string]int64 {
-	return func() map[string]int64 {
-		out := make(map[string]int64)
-		for _, src := range sources {
-			if src == nil {
-				continue
-			}
-			for k, v := range src() {
-				out[k] = v
-			}
-		}
-		return out
-	}
 }
 
 // New returns a server over the given observability handle, tailing the

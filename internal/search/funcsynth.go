@@ -29,7 +29,7 @@ package search
 // into another's proof. They are discharged synchronously on the coordinator
 // in constraint order (the two tiers are pure given the frozen stores, and
 // the per-target work is small), so the canonical trajectory is identical at
-// every worker count and under every dispatcher.
+// every worker count.
 
 import (
 	"strconv"

@@ -86,14 +86,6 @@ type Options struct {
 	// is built from. The callback runs synchronously on the coordinator;
 	// keep it cheap.
 	OnRun func(RunRecord)
-	// Dispatch, when non-nil, routes the search's compute fan-outs —
-	// execution batches, validity proofs, satisfiability checks — through an
-	// external dispatcher (the fleet coordinator) instead of the local worker
-	// pool. The canonical trajectory is unchanged: batching, merge order, and
-	// every piece of coordinator state stay exactly as in-process, so
-	// Stats.Canonical is bit-identical at any fleet size. A dispatcher error
-	// stops the search with Stats.DispatchError set. See DESIGN.md §13.
-	Dispatch Dispatcher
 	// NoIncrementalSMT disables solver sessions everywhere in the pipeline:
 	// the prover falls back to one-shot smt.Solve calls and the
 	// satisfiability path drops its per-worker sessions. Results are
@@ -385,9 +377,6 @@ type searcher struct {
 	// so a broken sink is reported once, not once per cadence.
 	lastCkpt   int
 	ckptFailed bool
-	// dispatchErr latches the first Dispatcher failure; the run loop stops at
-	// the next boundary and the session reports partial (well-formed) stats.
-	dispatchErr error
 	// satSessions holds one exact-mode solver session per worker for the
 	// satisfiability path (indexed by worker, created lazily, confined to
 	// that worker's goroutine). Nil when Options.NoIncrementalSMT is set.
@@ -588,7 +577,6 @@ func (s *searcher) processBatch(batch []item) bool {
 	type runResult struct {
 		ex       *concolic.Execution
 		overlay  *sym.SampleStore
-		samples  []sym.Sample // dispatched runs: remotely observed samples
 		panicked bool
 		worker   int
 		start    time.Time
@@ -615,29 +603,7 @@ func (s *searcher) processBatch(batch []item) bool {
 		prevLen = s.eng.Samples.Len()
 	}
 	results := make([]runResult, len(batch))
-	if d := s.opts.Dispatch; d != nil {
-		// Fleet path: the whole batch goes out as one dispatch; replies come
-		// back positionally and are merged below in the same batch order as
-		// local results. A missing reply (dispatcher failure) stops the
-		// search; everything merged so far stays valid.
-		version := s.eng.Samples.Len()
-		reqs := make([]ExecRequest, len(batch))
-		for i, it := range batch {
-			reqs[i] = ExecRequest{Input: it.input, Funcs: s.funcsText(it.funcs), Version: version}
-		}
-		replies, err := d.ExecBatch(reqs)
-		if err == nil && len(replies) != len(reqs) {
-			err = fmt.Errorf("search: dispatcher returned %d of %d exec replies", len(replies), len(reqs))
-		}
-		if err != nil {
-			s.dispatchFail(err)
-			return true
-		}
-		for i, r := range replies {
-			results[i] = runResult{ex: r.Ex, samples: r.Samples, panicked: r.Panicked,
-				worker: s.clampWorker(r.Worker), dur: time.Duration(r.DurNanos)}
-		}
-	} else if len(batch) == 1 {
+	if len(batch) == 1 {
 		var t0 time.Time
 		if tracing {
 			t0 = time.Now()
@@ -680,12 +646,6 @@ func (s *searcher) processBatch(batch []item) bool {
 		}
 		if r.overlay != nil {
 			s.eng.Samples.MergeLocal(r.overlay)
-		}
-		for _, smp := range r.samples {
-			// Remotely observed samples merge exactly like an overlay: in
-			// batch order, deduplicated by Add (a stale worker replica may
-			// re-observe pairs the coordinator already holds).
-			s.eng.Samples.Add(smp.Fn, smp.Args, smp.Out)
 		}
 		s.tried[s.runKey(it.input, it.funcs)] = true
 		bugsBefore := len(s.stats.Bugs)
@@ -743,9 +703,6 @@ func (s *searcher) processBatch(batch []item) bool {
 		}
 		if !it.noExpand {
 			s.expand(r.ex, it.bound, gained > 0)
-			if s.dispatchErr != nil {
-				return true
-			}
 		}
 	}
 	return false
@@ -947,26 +904,20 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 			NoIncrementalSMT: s.opts.NoIncrementalSMT,
 		})
 	}
-	if d := s.opts.Dispatch; d != nil {
-		if !s.dispatchProofs(d, todo, version, fb) {
-			return
+	s.parallelDo(len(todo), func(i, worker int) {
+		t := todo[i]
+		t0 := time.Now()
+		if !t.fromCache {
+			prove(t, t0)
 		}
-	} else {
-		s.parallelDo(len(todo), func(i, worker int) {
-			t := todo[i]
-			t0 := time.Now()
-			if !t.fromCache {
-				prove(t, t0)
-			}
-			if s.shouldDegrade(t.outcome, t.panicked) {
-				s.degradeTarget(t, fb, t0)
-			}
-			t.worker, t.start, t.dur = worker, t0, time.Since(t0)
-			atomic.AddInt64(&s.solveNanos, int64(t.dur))
-			s.stats.ProofsPerWorker[worker]++
-			t.done = true
-		})
-	}
+		if s.shouldDegrade(t.outcome, t.panicked) {
+			s.degradeTarget(t, fb, t0)
+		}
+		t.worker, t.start, t.dur = worker, t0, time.Since(t0)
+		atomic.AddInt64(&s.solveNanos, int64(t.dur))
+		s.stats.ProofsPerWorker[worker]++
+		t.done = true
+	})
 	for _, t := range targets {
 		if !t.done {
 			continue // cancelled before this target's turn; nothing to account
@@ -1055,9 +1006,24 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 	}
 }
 
-// solveTodoLocal discharges cache-missing satisfiability targets on the
-// local worker pool, one solver session per worker.
-func (s *searcher) solveTodoLocal(todo []*target) {
+// solveTargetsSat is classic test generation: satisfiability checks of
+// ALT(pc), fanned out and cached like the validity proofs (solver results do
+// not depend on the sample store, so the cache key is the formula alone).
+func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, hot bool) {
+	fallback := ex.Input
+	var todo []*target
+	for _, t := range targets {
+		t.cacheKey = t.alt.Key()
+		if e, ok := s.cache.getSolve(t.cacheKey); ok {
+			// Stash the entry on the target: under Options.CacheCap it can
+			// be evicted between selection and accounting (by a later fill
+			// in this same batch), and a selection-time hit must keep its
+			// result either way.
+			t.status, t.model, t.fromCache, t.done = e.status, e.model, true, true
+		} else {
+			todo = append(todo, t)
+		}
+	}
 	s.parallelDo(len(todo), func(i, worker int) {
 		t := todo[i]
 		t0 := time.Now()
@@ -1078,33 +1044,6 @@ func (s *searcher) solveTodoLocal(todo []*target) {
 		s.stats.ProofsPerWorker[worker]++
 		t.done = true
 	})
-}
-
-// solveTargetsSat is classic test generation: satisfiability checks of
-// ALT(pc), fanned out and cached like the validity proofs (solver results do
-// not depend on the sample store, so the cache key is the formula alone).
-func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, hot bool) {
-	fallback := ex.Input
-	var todo []*target
-	for _, t := range targets {
-		t.cacheKey = t.alt.Key()
-		if e, ok := s.cache.getSolve(t.cacheKey); ok {
-			// Stash the entry on the target: under Options.CacheCap it can
-			// be evicted between selection and accounting (by a later fill
-			// in this same batch), and a selection-time hit must keep its
-			// result either way.
-			t.status, t.model, t.fromCache, t.done = e.status, e.model, true, true
-		} else {
-			todo = append(todo, t)
-		}
-	}
-	if d := s.opts.Dispatch; d != nil {
-		if !s.dispatchSolves(d, todo) {
-			return
-		}
-	} else {
-		s.solveTodoLocal(todo)
-	}
 	for _, t := range targets {
 		if !t.done {
 			if _, ok := s.cache.solve[t.cacheKey]; !ok {

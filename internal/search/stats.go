@@ -96,10 +96,6 @@ type Stats struct {
 	// Resumed reports that this session was restored from a snapshot.
 	// Session-local: not part of snapshots or Canonical.
 	Resumed bool
-	// DispatchError holds the first Options.Dispatch failure, which stopped
-	// the search at the next boundary ("" = none); Budget.Cancelled is set
-	// alongside it. Session-local: not part of snapshots or Canonical.
-	DispatchError string
 
 	// Budget is the resource-budget and degradation section: what the
 	// ceilings cut short, which ladder rungs produced the tests, and whether

@@ -165,28 +165,23 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: %v status %d", err, resp.StatusCode)
 	}
-	var sessions []serve.Status
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		getJSON(t, ts.URL+"/api/v1/campaigns", &sessions)
-		settled := true
-		for _, cur := range sessions {
-			if cur.State == serve.StateQueued || cur.State == serve.StateRunning {
-				settled = false
-			}
-		}
-		if settled && len(sessions) == 2 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 
 	// Memory budget 1 byte: all but the newest finisher evicted → 410 with
-	// a recovery hint.
+	// a recovery hint. A session turns terminal just before its result is
+	// charged to the budget, so the eviction it causes can trail the last
+	// state change; wait for the eviction itself, not for the states.
+	var sessions []serve.Status
 	evictedID := ""
-	for _, cur := range sessions {
-		if cur.State == serve.StateEvicted {
-			evictedID = cur.ID
+	deadline := time.Now().Add(60 * time.Second)
+	for evictedID == "" && time.Now().Before(deadline) {
+		getJSON(t, ts.URL+"/api/v1/campaigns", &sessions)
+		for _, cur := range sessions {
+			if cur.State == serve.StateEvicted {
+				evictedID = cur.ID
+			}
+		}
+		if evictedID == "" {
+			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	if evictedID == "" {

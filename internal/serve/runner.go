@@ -12,6 +12,12 @@ import (
 	"hotg/internal/search"
 )
 
+// holdRunning, when set, is called by every session once it is running,
+// holds its corpus lock and can be cancelled; the session stays in
+// StateRunning until the hook returns. Only tests set it (export_test.go),
+// to pin a session as live without racing its search.
+var holdRunning func(ctx context.Context)
+
 // runSession executes one admitted session end to end: compile the spec,
 // lock the corpus, build the per-session observability stack, run (or
 // resume) the search, commit the corpus, and finalize. It owns the
@@ -72,6 +78,9 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	ses.mu.Lock()
 	ses.o, ses.cancel = o, cancel
 	ses.mu.Unlock()
+	if holdRunning != nil {
+		holdRunning(ctx)
+	}
 
 	camp, err := campaign.Open(dir, r.name, r.mode.String(), o)
 	if err != nil {

@@ -25,7 +25,6 @@ import (
 
 	"hotg/internal/campaign"
 	"hotg/internal/concolic"
-	"hotg/internal/fleet"
 	"hotg/internal/lexapp"
 	"hotg/internal/mini"
 	"hotg/internal/obs"
@@ -582,7 +581,7 @@ func validateSpec(spec Spec) error {
 		}
 	}
 	if spec.Mode != "" {
-		if _, err := fleet.ParseMode(spec.Mode); err != nil {
+		if _, err := concolic.ParseMode(spec.Mode); err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
 	}
@@ -629,9 +628,9 @@ func resolveSpec(spec Spec) (resolved, error) {
 	var r resolved
 	r.mode = concolic.ModeHigherOrder
 	if spec.Mode != "" {
-		m, err := fleet.ParseMode(spec.Mode)
+		m, err := concolic.ParseMode(spec.Mode)
 		if err != nil {
-			return r, err
+			return r, fmt.Errorf("serve: %w", err)
 		}
 		r.mode = m
 	}

@@ -130,10 +130,12 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestBackpressure fills the running slots and the queue, then expects
-// ErrQueueFull — the 429 path.
+// ErrQueueFull — the 429 path. The running session is held live until the
+// bounce is checked, so it cannot finish early and free a queue slot.
 func TestBackpressure(t *testing.T) {
 	s := newServer(t, serve.Options{MaxConcurrent: 1, MaxQueue: 2})
 	defer s.Close()
+	release := serve.HoldRunning(t)
 	var sessions []*serve.Session
 	for i := 0; i < 3; i++ {
 		ses, err := s.Submit(serve.Spec{Workload: "foo", MaxRuns: 25, Workers: 1})
@@ -146,6 +148,7 @@ func TestBackpressure(t *testing.T) {
 	if _, err := s.Submit(serve.Spec{Workload: "foo", MaxRuns: 5}); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("4th submit: err = %v, want ErrQueueFull", err)
 	}
+	release()
 	for _, ses := range sessions {
 		if st := waitState(t, ses, 60*time.Second); st != serve.StateDone {
 			t.Fatalf("%s: state %s, want done", ses, st)
@@ -155,10 +158,12 @@ func TestBackpressure(t *testing.T) {
 
 // TestCorpusConflict: a corpus ID held by a live session is rejected (409),
 // and two sessions on different corpus roots run concurrently without lock
-// contention — the per-directory lock scope.
+// contention — the per-directory lock scope. Both sessions are held live
+// until the conflict and the concurrency have been checked.
 func TestCorpusConflict(t *testing.T) {
 	s := newServer(t, serve.Options{MaxConcurrent: 2})
 	defer s.Close()
+	release := serve.HoldRunning(t)
 	a, err := s.Submit(serve.Spec{Workload: "lexer", MaxRuns: 120, Workers: 1, CorpusID: "shared"})
 	if err != nil {
 		t.Fatal(err)
@@ -172,6 +177,10 @@ func TestCorpusConflict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("different-corpus submit: %v", err)
 	}
+	if sa, sb := a.State(), b.State(); sa != serve.StateRunning || sb != serve.StateRunning {
+		t.Fatalf("states a=%s b=%s, want both running", sa, sb)
+	}
+	release()
 	if st := waitState(t, b, 30*time.Second); st != serve.StateDone {
 		t.Fatalf("b: state %s, want done", st)
 	}

@@ -185,16 +185,6 @@ func (s *SampleStore) LocalLen() int {
 	return len(s.order)
 }
 
-// Local returns the samples recorded in this store itself (excluding any
-// base store), in insertion order. For an overlay this is exactly what
-// MergeLocal would merge — the unit a fleet worker ships back to the
-// coordinator after a dispatched execution.
-func (s *SampleStore) Local() []Sample {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]Sample(nil), s.order...)
-}
-
 // Clone returns an independent (root) copy of the store.
 func (s *SampleStore) Clone() *SampleStore {
 	c := NewSampleStore()
