@@ -35,10 +35,12 @@ test-faults:
 
 # Campaign persistence drills: kill-and-resume determinism (resumed searches
 # must be bit-identical to uninterrupted ones at any worker count), corpus
-# integrity, and cross-session triage dedup, under the race detector. See
-# DESIGN.md §9.
+# integrity, the session lifecycle, and cross-session triage dedup, under the
+# race detector; then twenty shuffled passes of the whole cmd/hotg suite, so
+# no CLI test depends on ordering or a wall-clock race. See DESIGN.md §9.
 test-campaign:
 	$(GO) test -race -timeout 15m -run 'Checkpoint|Resume|Snapshot|Campaign' ./internal/search/ ./internal/campaign/ ./cmd/hotg/
+	$(GO) test -race -count=20 -shuffle=on -timeout 15m ./cmd/hotg/
 
 # Differential-oracle pass: the deterministic seeded O1–O3 suite (prover
 # verdicts vs exhaustive enumeration, cross-technique replay, metamorphic

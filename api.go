@@ -371,26 +371,22 @@ func Experiments() []Experiment { return eval.Experiments() }
 func GetExperiment(id string) (Experiment, bool) { return eval.Get(id) }
 
 // OpenCampaign opens (creating if needed) a persistent campaign directory
-// bound to one workload/mode pair. Wire the campaign into a search with
-// SearchOptions.OnRun = c.RecordRun and CheckpointOptions.Sink =
-// c.SaveCheckpoint, and call c.Commit when the session ends.
+// bound to one workload/mode pair, without its lock or any resume logic.
+// Front ends run sessions through StartCampaign instead.
 func OpenCampaign(dir, workload, mode string, o *Observer) (*Campaign, error) {
 	return campaign.Open(dir, workload, mode, o)
 }
 
-// ScheduleSeeds ranks corpus entries for seeding a fresh session (bugs first,
-// then cheaper precision rung, more coverage, earlier discovery).
-func ScheduleSeeds(entries []*CorpusEntry) []*CorpusEntry { return campaign.Schedule(entries) }
+// ActiveCampaign is a campaign session in progress; it holds the
+// directory's lock until Finish.
+type ActiveCampaign = campaign.Session
 
-// CampaignLock is an exclusive advisory lock on a campaign directory; see
-// AcquireCampaignLock.
-type CampaignLock = campaign.Lock
-
-// AcquireCampaignLock takes the single-writer session lock for a campaign
-// directory, breaking a stale lock left by a crashed (kill -9) session.
-// A lock held by a live process is an error naming its pid. Release it when
-// the session ends.
-func AcquireCampaignLock(dir string) (*CampaignLock, error) { return campaign.AcquireLock(dir) }
+// StartCampaign starts a campaign session and wires opts to it: the search
+// resumes an interrupted session or seeds from the corpus (DESIGN.md §9).
+// Run the search with opts, then call Finish with its Stats.
+func StartCampaign(dir, workload string, eng *Engine, opts *SearchOptions) (*ActiveCampaign, error) {
+	return campaign.Start(dir, workload, eng, opts)
+}
 
 // WriteFileAtomic writes data to path via a same-directory temp file and an
 // atomic rename, so readers never observe partial content.

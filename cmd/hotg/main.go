@@ -13,7 +13,6 @@
 //	hotg -workload lexer -runs 300 -proof-timeout 50ms -degrade
 //	hotg -workload lexer -runs 300 -budget 2s
 //	hotg -workload lexer -runs 300 -corpus ./camp -checkpoint-every 50
-//	hotg -workload lexer -runs 300 -corpus ./camp -resume
 package main
 
 import (
@@ -82,8 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budgetD    = fs.Duration("budget", 0, "wall-clock ceiling for the whole search (0 = unlimited); a fired ceiling returns partial results")
 		proofTmo   = fs.Duration("proof-timeout", 0, "wall-clock deadline per validity proof / solver query (0 = unlimited)")
 		degrade    = fs.Bool("degrade", false, "retry timed-out higher-order proofs with quantifier-free solving, then plain concretization (see README)")
-		corpusDir  = fs.String("corpus", "", "campaign directory: persist corpus, crash buckets, and checkpoints here across sessions")
-		resume     = fs.Bool("resume", false, "resume the search from the campaign's latest checkpoint (requires -corpus)")
+		corpusDir  = fs.String("corpus", "", "campaign directory: persist corpus, crash buckets, and checkpoints here across sessions (resumes an interrupted search, else seeds from the corpus)")
 		ckptEvery  = fs.Int("checkpoint-every", 0, "checkpoint the search every N runs into the campaign directory (requires -corpus)")
 		httpAddr   = fs.String("http", "", "serve live introspection (/statusz, /metrics, /events, /debug/pprof) on this address, e.g. :8080")
 		statusTick = fs.Duration("status-every", 0, "print a one-line progress report every interval while the search runs")
@@ -111,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "hotg: unknown mode %q\nvalid modes: %s\n", *mode, validModeList())
 		return 2
 	}
-	if *corpusDir == "" && (*resume || *ckptEvery > 0) {
-		fmt.Fprintln(stderr, "hotg: -resume and -checkpoint-every require -corpus")
+	if *corpusDir == "" && *ckptEvery > 0 {
+		fmt.Fprintln(stderr, "hotg: -checkpoint-every requires -corpus")
 		return 2
 	}
 	if *corpusDir != "" && (*mode == "random" || *mode == "all") {
@@ -147,7 +145,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var stats *hotg.Stats
 	var cache *hotg.SummaryCache
-	var camp *hotg.Campaign
+	var camp *hotg.ActiveCampaign
 	if *mode == "random" {
 		if *tracePath != "" || *chromePath != "" || *profile {
 			fmt.Fprintln(stderr, "hotg: -trace/-profile/-trace-chrome instrument the concolic pipeline and are ignored in random mode")
@@ -186,55 +184,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 		}
 		if *corpusDir != "" {
-			// The campaign directory is single-writer: hold its session lock
-			// for the whole session, so a server or another hotg process over
-			// the same corpus fails loudly instead of interleaving writes with
-			// us.
-			lock, err := hotg.AcquireCampaignLock(*corpusDir)
+			// Resume an interrupted search, or else warm-start from the
+			// corpus, holding the directory's lock until Finish.
+			opts.Checkpoint.Every = *ckptEvery
+			var err error
+			camp, err = hotg.StartCampaign(*corpusDir, w.Name, eng, &opts)
 			if err != nil {
 				fmt.Fprintln(stderr, "hotg:", err)
 				return 2
 			}
-			defer lock.Release()
-			camp, err = hotg.OpenCampaign(*corpusDir, w.Name, m.String(), o)
-			if err != nil {
-				fmt.Fprintln(stderr, "hotg:", err)
-				return 2
+			if camp.Rejected != nil {
+				fmt.Fprintf(stderr, "hotg: not resuming from the latest checkpoint: %v\n", camp.Rejected)
 			}
-			opts.OnRun = camp.RecordRun
-			if *ckptEvery > 0 {
-				opts.Checkpoint = hotg.CheckpointOptions{Every: *ckptEvery, Sink: camp.SaveCheckpoint}
-			}
-			if *resume {
-				if *samplesIn != "" {
-					fmt.Fprintln(stderr, "hotg: -samples-in cannot combine with -resume (the checkpoint restores the sample store)")
-					return 2
-				}
-				snap, err := camp.LatestCheckpoint()
-				if err != nil {
-					fmt.Fprintln(stderr, "hotg:", err)
-					return 2
-				}
-				if snap == nil {
-					fmt.Fprintf(stderr, "hotg: campaign %s has no checkpoint to resume from\n", *corpusDir)
-					return 2
-				}
-				if err := snap.Validate(eng); err != nil {
-					fmt.Fprintln(stderr, "hotg:", err)
-					return 2
-				}
-				opts.Restore = snap
-				fmt.Fprintf(stdout, "resuming campaign %s at run %d (session %d)\n", *corpusDir, snap.Runs, camp.Session)
-			} else if seeds := camp.SeedInputs(0); len(seeds) > 0 {
-				// A fresh session over an existing corpus starts from the
-				// scheduler-ranked saved inputs instead of the workload seeds.
-				opts.Seeds = seeds
-				fmt.Fprintf(stdout, "seeding from corpus: %d ranked inputs (session %d)\n", len(seeds), camp.Session)
+			switch {
+			case opts.Restore != nil:
+				fmt.Fprintf(stdout, "resuming campaign %s at run %d (session %d)\n", *corpusDir, opts.Restore.Runs, camp.Session)
+			case camp.Seeded:
+				fmt.Fprintf(stdout, "seeding from corpus: %d ranked inputs (session %d)\n", len(opts.Seeds), camp.Session)
 			}
 		}
 		stats = hotg.Explore(eng, opts)
 		if camp != nil {
-			if err := camp.Commit(); err != nil {
+			if err := camp.Finish(stats); err != nil {
 				fmt.Fprintln(stderr, "hotg:", err)
 				return 1
 			}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"hotg"
+	"hotg/internal/campaign"
 )
 
 var regen = flag.Bool("regen", false, "regenerate golden files")
@@ -57,55 +59,67 @@ func TestUnknownWorkloadRejected(t *testing.T) {
 }
 
 func TestCampaignFlagValidation(t *testing.T) {
-	if code, _, _ := runCLI(t, "-workload", "foo", "-resume"); code == 0 {
-		t.Error("-resume without -corpus exited 0")
-	}
 	if code, _, _ := runCLI(t, "-workload", "foo", "-checkpoint-every", "5"); code == 0 {
 		t.Error("-checkpoint-every without -corpus exited 0")
 	}
 	if code, _, _ := runCLI(t, "-workload", "foo", "-mode", "random", "-corpus", t.TempDir()); code == 0 {
 		t.Error("-corpus with random mode exited 0")
 	}
-	dir := t.TempDir()
-	if code, _, stderr := runCLI(t, "-workload", "foo", "-corpus", dir, "-resume"); code == 0 {
-		t.Error("-resume with no saved checkpoint exited 0")
-	} else if !strings.Contains(stderr, "no checkpoint") {
-		t.Errorf("unexpected stderr: %q", stderr)
-	}
 }
 
-// TestCampaignCLIRoundTrip drives the full flag surface: a first session that
-// checkpoints into -corpus, then a -resume session over the same directory.
+// TestCampaignCLIRoundTrip drives a campaign directory through its
+// lifecycle: a session interrupted after its first checkpoint (built through
+// StartCampaign and a cancelled context), a plain -corpus session that
+// resumes it and runs it to completion, and one more that, with the finished
+// search's checkpoints retired, seeds from the corpus.
 func TestCampaignCLIRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	code, stdout, stderr := runCLI(t,
-		"-workload", "foo", "-runs", "30", "-corpus", dir, "-checkpoint-every", "2")
-	if code != 0 {
-		t.Fatalf("first session exited %d\nstderr: %s", code, stderr)
+	w, _ := hotg.GetWorkload("scanner")
+	eng := hotg.NewEngine(w.Build(), hotg.ModeHigherOrder)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := hotg.SearchOptions{
+		MaxRuns: 30, Seeds: w.Seeds, Bounds: w.Bounds, Workers: 1, Ctx: ctx,
+		Checkpoint: hotg.CheckpointOptions{Every: 5, Sink: func(*hotg.Snapshot) error {
+			cancel()
+			return nil
+		}},
 	}
-	if !strings.Contains(stdout, "campaign:") {
-		t.Errorf("no campaign summary printed:\n%s", stdout)
+	camp, err := hotg.StartCampaign(dir, w.Name, eng, &opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); err != nil {
-		t.Errorf("no manifest committed: %v", err)
+	st := hotg.Explore(eng, opts)
+	if err := camp.Finish(st); err != nil {
+		t.Fatal(err)
+	}
+	if !st.Budget.Cancelled {
+		t.Fatalf("interrupted session was not cancelled: %s", st.Summary())
 	}
 
-	code, stdout, stderr = runCLI(t,
-		"-workload", "foo", "-runs", "30", "-corpus", dir, "-checkpoint-every", "2", "-resume")
+	// -runs differs from the interrupted session's budget; the resume keeps
+	// the checkpoint's.
+	code, stdout, stderr := runCLI(t,
+		"-workload", "scanner", "-runs", "7", "-corpus", dir, "-checkpoint-every", "5")
 	if code != 0 {
 		t.Fatalf("resume session exited %d\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "resuming campaign") {
-		t.Errorf("resume session did not announce the restored checkpoint:\n%s", stdout)
+	if want := fmt.Sprintf("resuming campaign %s at run %d", dir, st.Runs); !strings.Contains(stdout, want) {
+		t.Errorf("resume session did not announce %q:\n%s", want, stdout)
+	}
+	if !strings.Contains(stdout, "runs=30 ") {
+		t.Errorf("resume session did not run to the checkpoint's budget:\n%s", stdout)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints", "latest.json")); !os.IsNotExist(err) {
+		t.Errorf("a finished session kept its checkpoint (stat err %v)", err)
 	}
 
-	// A fresh (non-resume) session over the same corpus seeds from it.
-	code, stdout, stderr = runCLI(t, "-workload", "foo", "-runs", "30", "-corpus", dir)
+	code, stdout, stderr = runCLI(t, "-workload", "scanner", "-runs", "30", "-corpus", dir)
 	if code != 0 {
 		t.Fatalf("corpus-seeded session exited %d\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stdout, "seeding from corpus") {
-		t.Errorf("corpus-seeded session did not use saved inputs:\n%s", stdout)
+	if !strings.Contains(stdout, "seeding from corpus") || strings.Contains(stdout, "resuming") {
+		t.Errorf("session after completion did not seed from the corpus:\n%s", stdout)
 	}
 	if !strings.Contains(stdout, "(0 new)") {
 		t.Errorf("corpus-seeded session reported new crash buckets:\n%s", stdout)
@@ -117,7 +131,7 @@ func TestCampaignCLIRoundTrip(t *testing.T) {
 // in-test) is refused with the owner's pid and leaves the corpus untouched.
 func TestCampaignCLILockHeld(t *testing.T) {
 	dir := t.TempDir()
-	lock, err := hotg.AcquireCampaignLock(dir)
+	lock, err := campaign.AcquireLock(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

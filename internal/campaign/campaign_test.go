@@ -151,7 +151,7 @@ func TestCampaignTriageDedupAcrossSessions(t *testing.T) {
 	if c2.Session != 2 {
 		t.Fatalf("second session index = %d, want 2", c2.Session)
 	}
-	seeds := c2.SeedInputs(0)
+	seeds := c2.SeedInputs()
 	if len(seeds) == 0 {
 		t.Fatal("saved corpus yielded no seeds")
 	}

@@ -58,14 +58,11 @@ func Schedule(entries []*Entry) []*Entry {
 	return out
 }
 
-// SeedInputs returns up to max ranked corpus inputs for seeding a fresh
-// session (max <= 0 means all). The caller appends workload seeds as needed;
-// the corpus itself already contains them once a first session committed.
-func (c *Campaign) SeedInputs(max int) [][]int64 {
+// SeedInputs returns every corpus input, ranked, for seeding a fresh
+// session. The corpus already contains the workload seeds once a first
+// session committed.
+func (c *Campaign) SeedInputs() [][]int64 {
 	ranked := Schedule(c.Entries())
-	if max > 0 && len(ranked) > max {
-		ranked = ranked[:max]
-	}
 	out := make([][]int64, 0, len(ranked))
 	for _, e := range ranked {
 		out = append(out, append([]int64(nil), e.Input...))

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -88,29 +89,34 @@ func A5CampaignResume(cfg Config) *Table {
 	}
 	defer os.RemoveAll(tmp)
 
-	row := func(name string, st *search.Stats, c *campaign.Campaign) {
-		buckets, entries := "—", "—"
-		if c != nil {
-			buckets = fmt.Sprintf("%d (%d)", len(c.Buckets()), c.NewBuckets())
-			entries = fmt.Sprintf("%d", len(c.Entries()))
-		}
+	row := func(name string, st *search.Stats, c *campaign.Session) {
 		t.addRow(name, fmt.Sprintf("%d", st.Runs), fmt.Sprintf("%d", st.TestsGenerated),
-			fmt.Sprintf("%d", len(st.Bugs)), buckets, entries, fmt.Sprintf("%d", st.Checkpoints))
+			fmt.Sprintf("%d", len(st.Bugs)), fmt.Sprintf("%d (%d)", len(c.Buckets()), c.NewBuckets()),
+			fmt.Sprintf("%d", len(c.Entries())), fmt.Sprintf("%d", st.Checkpoints))
 	}
 	fail := func(format string, args ...interface{}) *Table {
 		t.claim(false, format, args...)
 		return t
 	}
+	// session runs one campaign session over dir: Start resumes the
+	// directory's checkpoint or seeds from its corpus (and says which in
+	// opts), the search runs, and Finish commits.
+	session := func(dir string, opts *search.Options) (*search.Stats, *campaign.Session, error) {
+		eng := concolic.New(w.Build(), mode)
+		opts.Seeds, opts.Bounds, opts.Obs = w.Seeds, w.Bounds, cmp.Or(opts.Obs, cfg.Obs)
+		opts.Budget = search.Budget{ProofTimeout: cfg.ProofTimeout, Degrade: cfg.Degrade}
+		c, err := campaign.Start(dir, w.Name, eng, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		st := search.Run(eng, *opts)
+		return st, c, c.Finish(st)
+	}
 
 	// Uninterrupted reference campaign.
-	refDir := tmp + "/ref"
-	refCamp, err := campaign.Open(refDir, w.Name, mode.String(), cfg.Obs)
+	ref, refCamp, err := session(tmp+"/ref", &search.Options{MaxRuns: budget})
 	if err != nil {
-		return fail("open reference campaign: %v", err)
-	}
-	ref := runSearch(cfg, w, mode, search.Options{MaxRuns: budget, OnRun: refCamp.RecordRun})
-	if err := refCamp.Commit(); err != nil {
-		return fail("commit reference campaign: %v", err)
+		return fail("reference campaign: %v", err)
 	}
 	row("uninterrupted", ref, refCamp)
 	refCanon, err := ref.Canonical()
@@ -123,10 +129,6 @@ func A5CampaignResume(cfg Config) *Table {
 	// kill -9 — to check the checkpoint-boundary Flush guarantee: the on-disk
 	// prefix stays valid JSONL through the last checkpoint.
 	dir := tmp + "/camp"
-	c1, err := campaign.Open(dir, w.Name, mode.String(), cfg.Obs)
-	if err != nil {
-		return fail("open campaign: %v", err)
-	}
 	tracePath := tmp + "/session1-trace.jsonl"
 	traceFile, err := os.Create(tracePath)
 	if err != nil {
@@ -140,20 +142,17 @@ func A5CampaignResume(cfg Config) *Table {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	saved := 0
-	st1 := runSearch(cfg, w, mode, search.Options{
-		MaxRuns: budget, OnRun: c1.RecordRun, Ctx: ctx, Obs: o1,
-		Checkpoint: search.CheckpointOptions{Every: every, Sink: func(s *search.Snapshot) error {
-			if err := c1.SaveCheckpoint(s); err != nil {
-				return err
-			}
+	st1, c1, err := session(dir, &search.Options{
+		MaxRuns: budget, Ctx: ctx, Obs: o1,
+		Checkpoint: search.CheckpointOptions{Every: every, Sink: func(*search.Snapshot) error {
 			if saved++; saved == 2 {
 				cancel()
 			}
 			return nil
 		}},
 	})
-	if err := c1.Commit(); err != nil {
-		return fail("commit interrupted session: %v", err)
+	if err != nil {
+		return fail("interrupted session: %v", err)
 	}
 	// No tracer Close, no final flush: only what checkpoint-boundary flushes
 	// (and bufio overflow) pushed out is on disk, as after a real kill -9.
@@ -172,28 +171,17 @@ func A5CampaignResume(cfg Config) *Table {
 		"the flushed prefix includes every checkpoint boundary event (%d checkpoints on disk, %d taken)",
 		ckpts, st1.Checkpoints)
 
-	// Session 2: resume from the campaign's latest checkpoint.
-	c2, err := campaign.Open(dir, w.Name, mode.String(), cfg.Obs)
+	// Session 2: resumes from the campaign's latest checkpoint, at the
+	// interrupted session's budget.
+	opts2 := &search.Options{Checkpoint: search.CheckpointOptions{Every: every}}
+	st2, c2, err := session(dir, opts2)
 	if err != nil {
-		return fail("reopen campaign: %v", err)
+		return fail("resumed session: %v", err)
 	}
-	snap, err := c2.LatestCheckpoint()
-	if err != nil || snap == nil {
-		return fail("load latest checkpoint: snap=%v err=%v", snap != nil, err)
+	if opts2.Restore == nil {
+		return fail("session 2 did not resume from a checkpoint (rejected: %v)", c2.Rejected)
 	}
-	eng := concolic.New(w.Build(), mode)
-	if err := snap.Validate(eng); err != nil {
-		return fail("validate checkpoint: %v", err)
-	}
-	st2 := search.Run(eng, search.Options{
-		MaxRuns: budget, Seeds: w.Seeds, Bounds: w.Bounds, Obs: cfg.Obs,
-		Restore: snap, OnRun: c2.RecordRun,
-		Checkpoint: search.CheckpointOptions{Every: every, Sink: c2.SaveCheckpoint},
-	})
-	if err := c2.Commit(); err != nil {
-		return fail("commit resumed session: %v", err)
-	}
-	row(fmt.Sprintf("2: resumed at run %d", snap.Runs), st2, c2)
+	row(fmt.Sprintf("2: resumed at run %d", opts2.Restore.Runs), st2, c2)
 
 	gotCanon, err := st2.Canonical()
 	if err != nil {
@@ -218,24 +206,19 @@ func A5CampaignResume(cfg Config) *Table {
 		"the interrupted-and-resumed campaign found the same %d bug buckets as the uninterrupted one",
 		len(refBuckets))
 
-	// Session 3: a fresh run over the saved corpus — every bug deduplicates
-	// into its existing bucket.
-	c3, err := campaign.Open(dir, w.Name, mode.String(), cfg.Obs)
-	if err != nil {
-		return fail("reopen campaign for session 3: %v", err)
-	}
-	seeds := c3.SeedInputs(0)
-	if len(seeds) == 0 {
-		return fail("saved corpus yielded no seeds")
-	}
-	entriesBefore := len(c3.Entries())
+	// Session 3: session 2 finished and retired its checkpoints, so this
+	// one re-runs over the corpus session 2 committed.
+	entriesBefore := len(c2.Entries())
 	before := map[string]int{}
-	for _, b := range c3.Buckets() {
+	for _, b := range c2.Buckets() {
 		before[b.Signature] = b.Session
 	}
-	st3 := runSearch(cfg, w, mode, search.Options{MaxRuns: budget, Seeds: seeds, OnRun: c3.RecordRun})
-	if err := c3.Commit(); err != nil {
-		return fail("commit session 3: %v", err)
+	st3, c3, err := session(dir, &search.Options{MaxRuns: budget})
+	if err != nil {
+		return fail("session 3: %v", err)
+	}
+	if !c3.Seeded {
+		return fail("saved corpus yielded no seeds")
 	}
 	row("3: re-run over corpus", st3, c3)
 	// Every bucket known before session 3 keeps its original first-discovery

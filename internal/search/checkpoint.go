@@ -692,9 +692,9 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 
 // Validate checks that the snapshot can be restored against an engine for the
 // same program and mode, by performing a full trial restore into a throwaway
-// searcher (using a scratch sample store, so the engine is untouched). Callers
-// that cannot afford a mid-run panic — the CLI, the campaign runner — validate
-// before passing the snapshot to Run via Options.Restore.
+// searcher (using a scratch sample store, so the engine is untouched).
+// campaign.Start validates before passing a snapshot to Run via
+// Options.Restore, so a bad checkpoint is rejected instead of panicking Run.
 func (snap *Snapshot) Validate(eng *concolic.Engine) error {
 	trial := &searcher{
 		eng:   eng.Clone(sym.NewSampleStore()),

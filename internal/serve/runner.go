@@ -19,13 +19,13 @@ import (
 var holdRunning func(ctx context.Context)
 
 // runSession executes one admitted session end to end: compile the spec,
-// lock the corpus, build the per-session observability stack, run (or
-// resume) the search, commit the corpus, and finalize. It owns the
+// build the per-session observability stack, run the search as one campaign
+// session (lock, resume or seed, commit), and finalize. It owns the
 // session's slot; releasing it re-pumps the queue.
 func (s *Server) runSession(ses *Session) {
 	defer s.wg.Done()
-	st, err := s.execute(ses)
-	s.finalize(ses, st, err)
+	st, camp, err := s.execute(ses)
+	s.finalize(ses, st, camp, err)
 	s.mu.Lock()
 	s.running--
 	s.pumpLocked()
@@ -35,9 +35,9 @@ func (s *Server) runSession(ses *Session) {
 }
 
 // execute runs the search for one session. It returns the (possibly
-// partial) stats and the first error encountered; both may be non-nil —
-// a commit failure after a successful search still has stats worth keeping.
-func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
+// partial) stats, the campaign and the first error; all may be non-nil — a
+// commit failure after a successful search still has stats worth keeping.
+func (s *Server) execute(ses *Session) (st *search.Stats, camp *campaign.Session, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("serve: session panicked: %v", r)
@@ -46,18 +46,11 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 
 	r, err := resolveSpec(ses.spec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	ses.mu.Lock()
 	ses.workload, ses.mode = r.name, r.mode.String()
 	ses.mu.Unlock()
-
-	dir := s.corpusDir(ses.CorpusID)
-	lock, err := campaign.AcquireLock(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer lock.Release()
 
 	// Per-session observability: an isolated registry, a recorder-only
 	// tracer (no writer — events live in the session's ring, created when
@@ -78,14 +71,6 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	ses.mu.Lock()
 	ses.o, ses.cancel = o, cancel
 	ses.mu.Unlock()
-	if holdRunning != nil {
-		holdRunning(ctx)
-	}
-
-	camp, err := campaign.Open(dir, r.name, r.mode.String(), o)
-	if err != nil {
-		return nil, err
-	}
 
 	eng := concolic.New(r.prog, r.mode)
 	if eng.Summaries != nil {
@@ -104,9 +89,14 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 	if every <= 0 {
 		every = s.opts.CheckpointEvery
 	}
+	seeds := r.seeds
+	if len(seeds) == 0 {
+		seeds = [][]int64{make([]int64, len(eng.InputVars))}
+	}
 
 	opts := search.Options{
 		MaxRuns:  maxRuns,
+		Seeds:    seeds,
 		Workers:  workers,
 		Bounds:   r.bounds,
 		Obs:      o,
@@ -117,72 +107,45 @@ func (s *Server) execute(ses *Session) (st *search.Stats, err error) {
 			ProofTimeout:  time.Duration(ses.spec.ProofTimeoutMS) * time.Millisecond,
 			Degrade:       ses.spec.Degrade,
 		},
-		Checkpoint: search.CheckpointOptions{Every: every, Sink: camp.SaveCheckpoint},
-	}
-	// Submit-to-first-test latency: stamp the first non-seed,
-	// non-intermediate applied run, then hand off to the corpus recorder.
-	opts.OnRun = func(rr search.RunRecord) {
-		if !rr.Seed && !rr.Intermediate {
-			ses.mu.Lock()
-			if ses.firstTestMS < 0 {
-				ses.firstTestMS = time.Since(ses.submitted).Milliseconds()
+		Checkpoint: search.CheckpointOptions{Every: every},
+		// Submit-to-first-test latency: stamp the first non-seed,
+		// non-intermediate applied run.
+		OnRun: func(rr search.RunRecord) {
+			if !rr.Seed && !rr.Intermediate {
+				ses.mu.Lock()
+				if ses.firstTestMS < 0 {
+					ses.firstTestMS = time.Since(ses.submitted).Milliseconds()
+				}
+				ses.mu.Unlock()
 			}
-			ses.mu.Unlock()
+		},
+	}
+	camp, err = campaign.Start(s.corpusDir(ses.CorpusID), r.name, eng, &opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer func() {
+		if ferr := camp.Finish(st); ferr != nil && err == nil {
+			err = fmt.Errorf("serve: corpus commit: %w", ferr)
 		}
-		camp.RecordRun(rr)
+	}()
+	ses.mu.Lock()
+	ses.resumed = ses.resumed || opts.Restore != nil || camp.Seeded
+	if camp.Rejected != nil {
+		ses.ckptRejected = camp.Rejected.Error()
+	}
+	ses.mu.Unlock()
+	if holdRunning != nil {
+		holdRunning(ctx)
 	}
 
-	// Resume from the corpus's latest checkpoint when one fits this
-	// engine; a valid snapshot overrides MaxRuns so the continuation is
-	// bit-identical to the interrupted session's remainder. Without a
-	// checkpoint, a reused corpus still warm-starts from its best inputs.
-	// A checkpoint that fails to load or validate (corrupt, or written by an
-	// incompatible build) is rejected loudly — a checkpoint_rejected event
-	// and a status field — and the session starts over without it.
-	snap, cerr := camp.LatestCheckpoint()
-	if cerr == nil && snap != nil {
-		cerr = snap.Validate(eng)
-	}
-	switch {
-	case cerr != nil:
-		tracer.Emit(obs.Event{Kind: "checkpoint_rejected", Worker: -1,
-			Str: map[string]string{"err": cerr.Error()}})
-		ses.mu.Lock()
-		ses.ckptRejected = cerr.Error()
-		ses.mu.Unlock()
-	case snap != nil:
-		opts.Restore = snap
-		opts.MaxRuns = snap.MaxRuns
-		ses.mu.Lock()
-		ses.resumed = true
-		ses.mu.Unlock()
-	}
-	if opts.Restore == nil {
-		switch {
-		case len(r.seeds) > 0:
-			opts.Seeds = r.seeds
-		default:
-			opts.Seeds = [][]int64{make([]int64, len(eng.InputVars))}
-		}
-		if seeded := camp.SeedInputs(8); len(seeded) > 0 {
-			opts.Seeds = seeded
-			ses.mu.Lock()
-			ses.resumed = true
-			ses.mu.Unlock()
-		}
-	}
-
-	st = search.Run(eng, opts)
-	if cerr := camp.Commit(); cerr != nil {
-		return st, fmt.Errorf("serve: corpus commit: %w", cerr)
-	}
-	return st, nil
+	return search.Run(eng, opts), camp, nil
 }
 
 // finalize transitions a session out of running: map the outcome to a
 // terminal (or interrupted) state, build and persist the result, record
 // latencies, and charge the retained bytes against the memory budget.
-func (s *Server) finalize(ses *Session, st *search.Stats, err error) {
+func (s *Server) finalize(ses *Session, st *search.Stats, camp *campaign.Session, err error) {
 	ses.mu.Lock()
 	cancelReq := ses.cancelReq
 	firstTest := ses.firstTestMS
@@ -226,7 +189,16 @@ func (s *Server) finalize(ses *Session, st *search.Stats, err error) {
 			res.CanonicalStats = canon
 		}
 	}
-	s.fillResultFromCorpus(res)
+	if camp != nil {
+		// The campaign is the durable source of truth — a resumed session's
+		// result covers the whole campaign, not just its slice.
+		for _, e := range camp.Entries() {
+			if e.Rung != "seed" {
+				res.Tests = append(res.Tests, TestCase{Input: e.Input, Rung: e.Rung, Run: e.Run, Bug: e.Bug})
+			}
+		}
+		res.Buckets = camp.Buckets()
+	}
 
 	var counter string
 	switch state {
@@ -264,23 +236,4 @@ func (s *Server) finalize(ses *Session, st *search.Stats, err error) {
 		s.retainLocked(ses, int64(len(data))+int64(s.opts.FlightRecorderSize)*128)
 		s.mu.Unlock()
 	}
-}
-
-// fillResultFromCorpus loads the committed corpus entries and triage
-// buckets into a result. The corpus is the durable source of truth — a
-// resumed session's result covers the whole campaign, not just its slice.
-func (s *Server) fillResultFromCorpus(res *Result) {
-	camp, err := campaign.Open(s.corpusDir(res.CorpusID), res.Workload, res.Mode, nil)
-	if err != nil {
-		return
-	}
-	for _, e := range camp.Entries() {
-		if e.Rung == "seed" {
-			continue
-		}
-		res.Tests = append(res.Tests, TestCase{
-			Input: e.Input, Rung: e.Rung, Run: e.Run, Bug: e.Bug,
-		})
-	}
-	res.Buckets = camp.Buckets()
 }
