@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint vet test race test-faults test-campaign test-difftest test-serve test-higher load-serve fuzz-smoke bench bench-smoke bench-json bench-diff tables verify
+.PHONY: all build lint vet test race test-faults test-campaign test-difftest test-higher fuzz-smoke bench bench-smoke bench-json bench-diff tables verify
 
 all: build lint vet test
 
@@ -36,11 +36,12 @@ test-faults:
 # Campaign persistence drills: kill-and-resume determinism (resumed searches
 # must be bit-identical to uninterrupted ones at any worker count), corpus
 # integrity, the session lifecycle, and cross-session triage dedup, under the
-# race detector; then twenty shuffled passes of the whole cmd/hotg suite, so
-# no CLI test depends on ordering or a wall-clock race. See DESIGN.md §9.
+# race detector; then twenty shuffled passes of the cmd/hotg, cmd/difftest and
+# internal/obshttp suites (the CLIs and the live introspection they serve), so
+# no such test depends on ordering or a wall-clock race. See DESIGN.md §9.
 test-campaign:
 	$(GO) test -race -timeout 15m -run 'Checkpoint|Resume|Snapshot|Campaign' ./internal/search/ ./internal/campaign/ ./cmd/hotg/
-	$(GO) test -race -count=20 -shuffle=on -timeout 15m ./cmd/hotg/
+	$(GO) test -race -count=20 -shuffle=on -timeout 15m ./cmd/hotg/ ./cmd/difftest/ ./internal/obshttp/
 
 # Differential-oracle pass: the deterministic seeded O1–O3 suite (prover
 # verdicts vs exhaustive enumeration, cross-technique replay, metamorphic
@@ -49,27 +50,12 @@ test-campaign:
 test-difftest:
 	$(GO) test -race -timeout 15m ./internal/difftest/ ./cmd/difftest/
 
-# Campaign-server drills under the race detector: admission/backpressure,
-# per-corpus lock scoping, memory-budget eviction with disk recovery,
-# drain-resume canonical determinism, goroutine-leak checks, and the full
-# REST surface. See DESIGN.md §14. Twenty shuffled passes keep the suite
-# honest about ordering and timing: no test may depend on a wall-clock race.
-test-serve:
-	$(GO) test -race -count=20 -shuffle=on -timeout 15m ./internal/serve/ ./internal/obshttp/
-
 # Higher-order drills under the race detector: function-value synthesis and
 # replay across the whole stack — mini round trips, randprog determinism,
 # callback workload searches, the 1000-seed replay property, kill-and-resume
 # with decision tables, and the cmd/hotg golden rendering. See DESIGN.md §15.
 test-higher:
 	$(GO) test -race -timeout 15m -short -run 'Callback|FuncVal|FuncValue|FuncParams|HigherOrder' ./internal/mini/ ./internal/sym/ ./internal/search/ ./internal/concolic/ ./internal/difftest/ ./cmd/hotg/
-
-# load-serve is the campaign-server load harness: hundreds of concurrent
-# small campaigns through a real hotg-server subprocess, SIGTERM'd and
-# restarted mid-flood; zero lost sessions required, p50/p99 submit-to-done
-# latency printed as one JSON line.
-load-serve:
-	$(GO) run ./cmd/hotg-server -loadtest -sessions 200 -runs 12
 
 # Short native-fuzz smoke: each entry point gets a few seconds from its seed
 # corpus. `go test -fuzz` accepts one target per invocation, hence the list.
@@ -109,4 +95,4 @@ bench-diff:
 tables:
 	$(GO) run ./cmd/benchtab -quick
 
-verify: lint vet test race test-faults test-campaign test-difftest test-serve test-higher
+verify: lint vet test race test-faults test-campaign test-difftest test-higher

@@ -38,7 +38,6 @@ package hotg
 
 import (
 	"io"
-	"net/http"
 	"os"
 
 	"hotg/internal/campaign"
@@ -51,7 +50,6 @@ import (
 	"hotg/internal/obs"
 	"hotg/internal/obshttp"
 	"hotg/internal/search"
-	"hotg/internal/serve"
 	"hotg/internal/smt"
 	"hotg/internal/sym"
 )
@@ -392,42 +390,4 @@ func StartCampaign(dir, workload string, eng *Engine, opts *SearchOptions) (*Act
 // atomic rename, so readers never observe partial content.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 	return campaign.WriteFileAtomic(path, data, perm)
-}
-
-// CampaignServer is the multi-tenant campaign service: bounded concurrent
-// sessions with admission control, per-session isolation, a server-wide
-// retention budget with LRU eviction, and drain-and-resume via the campaign
-// checkpoint machinery. See internal/serve and DESIGN.md §14.
-type CampaignServer = serve.Server
-
-// CampaignServerOptions configures a CampaignServer.
-type CampaignServerOptions = serve.Options
-
-// CampaignSpec is one campaign submission to a CampaignServer.
-type CampaignSpec = serve.Spec
-
-// CampaignSession is one isolated campaign running inside a CampaignServer.
-type CampaignSession = serve.Session
-
-// CampaignResult is the retained outcome of a finished server session.
-type CampaignResult = serve.Result
-
-// NewCampaignServer opens (creating if needed) the data directory, recovers
-// sessions from a previous process, and returns a server ready to admit
-// submissions.
-func NewCampaignServer(opts CampaignServerOptions) (*CampaignServer, error) {
-	return serve.New(opts)
-}
-
-// ServeCampaigns binds addr and serves the campaign API (/api/v1/campaigns)
-// alongside the live introspection surface — /statusz includes a per-session
-// row backed by each session's own registry — returning the bound address
-// and a shutdown function. Shutting down the HTTP listener does not drain
-// the server; call srv.Drain (or Close) for that.
-func ServeCampaigns(addr string, srv *CampaignServer, o *Observer) (string, func(), error) {
-	s := obshttp.New(o)
-	s.Info = srv.Info
-	s.Sessions = srv.SessionStatuses
-	s.Mounts = map[string]http.Handler{"/api/": srv.Handler()}
-	return obshttp.Serve(addr, s)
 }

@@ -55,9 +55,6 @@ type jsonResult struct {
 	CrashBuckets     int64              `json:"crash_buckets,omitempty"`
 	TriageDedup      int64              `json:"triage_dedup_hits,omitempty"`
 	Checkpoints      int64              `json:"checkpoints_saved,omitempty"`
-	ServeP50MS       int64              `json:"serve_p50_ms,omitempty"`
-	ServeP99MS       int64              `json:"serve_p99_ms,omitempty"`
-	SessionsEvicted  int64              `json:"sessions_evicted,omitempty"`
 	CallbackTargets  int64              `json:"callback_targets,omitempty"`
 	FuncsSynthesized int64              `json:"funcs_synthesized,omitempty"`
 	Failed           []string           `json:"failed,omitempty"`
@@ -158,9 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				CrashBuckets:     m.Get("campaign.triage.buckets"),
 				TriageDedup:      m.Get("campaign.triage.dedup_hits"),
 				Checkpoints:      m.Get("campaign.checkpoints.saved"),
-				ServeP50MS:       m.Get("serve.p50_ms"),
-				ServeP99MS:       m.Get("serve.p99_ms"),
-				SessionsEvicted:  m.Get("serve.evicted"),
 				CallbackTargets:  m.Get("search.callback.targets"),
 				FuncsSynthesized: m.Get("search.callback.funcs_synthesized"),
 				Failed:           failed,

@@ -85,55 +85,6 @@ func TestJSONShapeGolden(t *testing.T) {
 	}
 }
 
-// TestJSONShapeGoldenServe pins the serve-specific -json keys on the A8 row:
-// serve_p50_ms, serve_p99_ms, and sessions_evicted must appear (they are
-// omitempty, so only an experiment that actually runs the campaign server
-// emits them).
-func TestJSONShapeGoldenServe(t *testing.T) {
-	code, out, stderr := runCLI(t, "-quick", "-json", "A8")
-	if code != 0 {
-		t.Fatalf("benchtab exited %d\nstderr: %s", code, stderr)
-	}
-	var results []map[string]any
-	if err := json.Unmarshal([]byte(out), &results); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v", err)
-	}
-	if len(results) != 1 {
-		t.Fatalf("selected one experiment, got %d results", len(results))
-	}
-	res := results[0]
-
-	var keys []string
-	for k := range res {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	got := strings.Join(keys, "\n") + "\n"
-
-	golden := filepath.Join("testdata", "json_keys_serve.golden")
-	if *regen {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -regen to create)", err)
-	}
-	if got != string(want) {
-		t.Errorf("A8 -json key set drifted from golden:\ngot:\n%swant:\n%s", got, want)
-	}
-	for _, k := range []string{"serve_p50_ms", "serve_p99_ms", "sessions_evicted"} {
-		v, ok := res[k].(float64)
-		if !ok || v <= 0 {
-			t.Errorf("%s = %v, want a positive number on the A8 row", k, res[k])
-		}
-	}
-	if _, ok := res["failed"]; ok {
-		t.Error("quick A8 reported failed claims; the claim set regressed")
-	}
-}
-
 // TestJSONShapeGoldenE16 pins the callback-synthesis keys on the E16 row:
 // callback_targets and funcs_synthesized must appear (omitempty, so only an
 // experiment that actually discharges callback targets emits them).

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hotg/internal/obs"
 )
@@ -155,41 +154,34 @@ func TestFlightDump(t *testing.T) {
 }
 
 // TestHTTPLiveFindings checks -http: /statusz reports the campaign's live
-// case/finding counters (matching the final summary once the run ends).
+// case/finding counters (matching the final summary once the run ends). The
+// CLI's announcement of its address is held until the GET is done, so the
+// campaign cannot finish (and shut its server down) under the request; no
+// retry is needed either, since obshttp.Serve binds before it returns.
 func TestHTTPLiveFindings(t *testing.T) {
-	var out, errb syncBuffer
+	out := newLineWatch(func(ln string) bool { return strings.HasPrefix(ln, "introspection: http://") })
+	out.hold = make(chan struct{})
+	release := sync.OnceFunc(func() { close(out.hold) })
+	defer release() // a failed request must not leave run() blocked
+	var errb lineWatch
 	codeCh := make(chan int, 1)
 	go func() {
-		codeCh <- run([]string{"-seed", "1", "-count", "60", "-jobs", "2", "-http", "127.0.0.1:0"}, &out, &errb)
+		codeCh <- run([]string{"-seed", "1", "-count", "60", "-jobs", "2", "-http", "127.0.0.1:0"}, out, &errb)
 	}()
 	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no introspection address announced:\n%s", out.String())
-		}
-		for _, ln := range strings.Split(out.String(), "\n") {
-			if rest, ok := strings.CutPrefix(ln, "introspection: http://"); ok {
-				addr = strings.TrimSuffix(rest, "/statusz")
-			}
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case ln := <-out.seen:
+		addr = strings.TrimSuffix(strings.TrimPrefix(ln, "introspection: http://"), "/statusz")
+	case code := <-codeCh:
+		t.Fatalf("campaign exited %d without announcing an introspection address\nstderr: %s", code, errb.String())
 	}
-	// Hit /statusz while the campaign is running — it must answer. Retry
-	// briefly: the GET races server startup on loaded machines.
-	var body []byte
-	for {
-		resp, err := http.Get("http://" + addr + "/statusz")
-		if err == nil {
-			body, _ = io.ReadAll(resp.Body)
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/statusz never answered: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
+	resp, err := http.Get("http://" + addr + "/statusz")
+	if err != nil {
+		t.Fatalf("GET /statusz: %v", err)
 	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	release()
 	var status struct {
 		Headline map[string]int64 `json:"headline"`
 	}
@@ -207,19 +199,45 @@ func TestHTTPLiveFindings(t *testing.T) {
 	}
 }
 
-// syncBuffer is a goroutine-safe buffer for watching CLI output mid-run.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
+// lineWatch is a goroutine-safe buffer for watching CLI output mid-run. The
+// first written line that satisfies match is sent on seen; with hold set,
+// that Write then blocks until hold is closed, keeping the CLI at that line.
+type lineWatch struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	match func(line string) bool
+	seen  chan string
+	hold  chan struct{}
 }
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
+func newLineWatch(match func(line string) bool) *lineWatch {
+	return &lineWatch{match: match, seen: make(chan string, 1)}
+}
+
+func (b *lineWatch) Write(p []byte) (int, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
+	n, err := b.buf.Write(p)
+	var hit string
+	found := false
+	if b.match != nil {
+		for _, ln := range strings.Split(string(p), "\n") {
+			if b.match(ln) {
+				hit, found, b.match = ln, true, nil
+				break
+			}
+		}
+	}
+	b.mu.Unlock()
+	if found {
+		b.seen <- hit
+		if b.hold != nil {
+			<-b.hold
+		}
+	}
+	return n, err
 }
 
-func (b *syncBuffer) String() string {
+func (b *lineWatch) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()

@@ -10,10 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hotg"
 	"hotg/internal/campaign"
@@ -127,7 +127,7 @@ func TestCampaignCLIRoundTrip(t *testing.T) {
 }
 
 // TestCampaignCLILockHeld: a -corpus session over a directory whose lock a
-// live process holds (a server session, say; simulated by holding the lock
+// live process holds (another hotg session, say; simulated by holding the lock
 // in-test) is refused with the owner's pid and leaves the corpus untouched.
 func TestCampaignCLILockHeld(t *testing.T) {
 	dir := t.TempDir()
@@ -257,51 +257,87 @@ func TestListGolden(t *testing.T) {
 	}
 }
 
-// syncBuffer is a goroutine-safe bytes.Buffer for watching CLI output while
-// run() is still executing.
-type syncBuffer struct {
-	mu  sync.Mutex
-	buf bytes.Buffer
+// lineWatch is a goroutine-safe buffer for watching CLI output while run()
+// is still executing. The first written line that satisfies match is sent on
+// seen; with hold set, that Write then blocks until hold is closed. The CLI
+// writes synchronously, so a held line keeps it (and its introspection
+// server) alive while the test looks.
+type lineWatch struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	match func(line string) bool
+	seen  chan string
+	hold  chan struct{}
 }
 
-func (b *syncBuffer) Write(p []byte) (int, error) {
+func newLineWatch(match func(line string) bool) *lineWatch {
+	return &lineWatch{match: match, seen: make(chan string, 1)}
+}
+
+func (b *lineWatch) Write(p []byte) (int, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.buf.Write(p)
+	n, err := b.buf.Write(p)
+	var hit string
+	found := false
+	if b.match != nil {
+		for _, ln := range strings.Split(string(p), "\n") {
+			if b.match(ln) {
+				hit, found, b.match = ln, true, nil
+				break
+			}
+		}
+	}
+	b.mu.Unlock()
+	if found {
+		b.seen <- hit
+		if b.hold != nil {
+			<-b.hold
+		}
+	}
+	return n, err
 }
 
-func (b *syncBuffer) String() string {
+func (b *lineWatch) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
 
 // TestHTTPIntrospectionLive boots the CLI with -http on an ephemeral port and
-// hits all four endpoint families while the search is (or has just been)
-// running, then checks the run completed cleanly with status lines printed.
+// hits all four endpoint families while the search is running: the first
+// status line reporting applied runs is held until the requests are done, so
+// the process cannot exit (and shut its server down) under them. Then it
+// checks the run completed cleanly with status lines printed.
 func TestHTTPIntrospectionLive(t *testing.T) {
-	var out, errb syncBuffer
+	out := newLineWatch(func(ln string) bool { return strings.HasPrefix(ln, "introspection: http://") })
+	errb := newLineWatch(func(ln string) bool {
+		rest, ok := strings.CutPrefix(ln, "status: runs=")
+		runs, _, _ := strings.Cut(rest, " ")
+		n, _ := strconv.Atoi(runs)
+		return ok && n > 0
+	})
+	errb.hold = make(chan struct{})
+	release := sync.OnceFunc(func() { close(errb.hold) })
+	defer release() // a failed request must not leave run() blocked
 	codeCh := make(chan int, 1)
 	go func() {
 		codeCh <- run([]string{
 			"-workload", "lexer", "-mode", "higher-order", "-runs", "250",
 			"-http", "127.0.0.1:0", "-status-every", "1ms",
-		}, &out, &errb)
+		}, out, errb)
 	}()
 
-	// Wait for the bound address to be announced.
 	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("no introspection address announced; stdout so far:\n%s", out.String())
-		}
-		for _, ln := range strings.Split(out.String(), "\n") {
-			if rest, ok := strings.CutPrefix(ln, "introspection: http://"); ok {
-				addr = strings.TrimSuffix(rest, "/statusz")
-			}
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case ln := <-out.seen:
+		addr = strings.TrimSuffix(strings.TrimPrefix(ln, "introspection: http://"), "/statusz")
+	case code := <-codeCh:
+		t.Fatalf("run exited %d without announcing an introspection address\nstdout:\n%s", code, out.String())
+	}
+	select {
+	case <-errb.seen:
+	case code := <-codeCh:
+		t.Fatalf("run exited %d before a status line reported applied runs\nstderr:\n%s", code, errb.String())
 	}
 
 	// All four endpoint families answer while the process is live.
@@ -319,6 +355,7 @@ func TestHTTPIntrospectionLive(t *testing.T) {
 			t.Errorf("%s: empty body", path)
 		}
 	}
+	release()
 
 	if code := <-codeCh; code != 0 {
 		t.Fatalf("run exited %d\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())

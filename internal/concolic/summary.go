@@ -1,7 +1,6 @@
 package concolic
 
 import (
-	"container/list"
 	"fmt"
 	"strings"
 	"sync"
@@ -59,34 +58,15 @@ type SummaryCase struct {
 // to one engine (it references the engine's variable pool). The cache is safe
 // for concurrent use by engine clones; read the statistics fields only after
 // the runs sharing the cache have finished.
-//
-// With MaxCases set (before first use), the cache is LRU-bounded at that many
-// memoized paths. Eviction is always safe for correctness: summaries are
-// exact (instantiation reproduces inline execution's constraints
-// syntactically), so a post-eviction miss rebuilds the identical case and
-// only costs the symbolic re-execution of the callee.
 type SummaryCache struct {
 	mu    sync.Mutex
 	cases map[*mini.FuncDecl]map[string]*SummaryCase
 	smzbl map[*mini.FuncDecl]bool
-	lru   *list.List // of summaryKey, most recent first (nil until needed)
-	elem  map[summaryKey]*list.Element
-
-	// MaxCases, when positive, bounds the number of memoized paths with LRU
-	// eviction. Set before the cache is shared; zero means unbounded.
-	MaxCases int
 
 	// Statistics.
-	Hits      int   // call sites served from a memoized case
-	Misses    int   // call sites that built a new case
-	Fallbacks int   // abnormal callee exits handled by classic inlining
-	Evictions int64 // cases dropped by the MaxCases LRU bound
-}
-
-// summaryKey identifies one memoized path for the LRU index.
-type summaryKey struct {
-	fd  *mini.FuncDecl
-	sig string
+	Hits      int // call sites served from a memoized case
+	Misses    int // call sites that built a new case
+	Fallbacks int // abnormal callee exits handled by classic inlining
 }
 
 // NewSummaryCache returns an empty cache.
@@ -108,34 +88,10 @@ func (c *SummaryCache) Cases() int {
 	return n
 }
 
-// MemBytes returns a rough accounting of the bytes retained by the memoized
-// cases: canonical-key lengths of the stored terms plus fixed per-node
-// overhead. It is an estimate for budget accounting (server-side session
-// memory), not an exact heap measurement.
-func (c *SummaryCache) MemBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, m := range c.cases {
-		for sig, cs := range m {
-			n += int64(len(sig)) + 64
-			for _, rc := range cs.Constraints {
-				n += int64(len(rc.Expr.Key())) + 48
-			}
-			n += int64(len(cs.Ret.Key())) + 48*int64(len(cs.Formals))
-		}
-	}
-	return n
-}
-
 func (c *SummaryCache) lookup(fd *mini.FuncDecl, sig string) *SummaryCase {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cs := c.cases[fd][sig]
-	if cs != nil && c.elem != nil {
-		c.lru.MoveToFront(c.elem[summaryKey{fd, sig}])
-	}
-	return cs
+	return c.cases[fd][sig]
 }
 
 func (c *SummaryCache) store(fd *mini.FuncDecl, sig string, cs *SummaryCase) {
@@ -155,28 +111,7 @@ func (c *SummaryCache) store(fd *mini.FuncDecl, sig string, cs *SummaryCase) {
 		m = make(map[string]*SummaryCase)
 		c.cases[fd] = m
 	}
-	if _, exists := m[sig]; !exists && c.MaxCases > 0 {
-		if c.lru == nil {
-			c.lru = list.New()
-			c.elem = make(map[summaryKey]*list.Element)
-		}
-		if c.lru.Len() >= c.MaxCases {
-			old := c.lru.Back()
-			k := old.Value.(summaryKey)
-			c.lru.Remove(old)
-			delete(c.elem, k)
-			delete(c.cases[k.fd], k.sig)
-			if len(c.cases[k.fd]) == 0 {
-				delete(c.cases, k.fd)
-			}
-			c.Evictions++
-		}
-		c.elem[summaryKey{fd, sig}] = c.lru.PushFront(summaryKey{fd, sig})
-	}
 	m[sig] = cs
-	// Re-register: the eviction above may have dropped fd's (now re-used)
-	// inner map when its last case was evicted.
-	c.cases[fd] = m
 }
 
 func (c *SummaryCache) noteHit()      { c.mu.Lock(); c.Hits++; c.mu.Unlock() }

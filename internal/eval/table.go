@@ -174,7 +174,6 @@ func Experiments() []Experiment {
 		{"A4", "budgeted search: degradation down the precision ladder", A4BudgetedSearch},
 		{"A5", "persistent campaigns: kill, resume, and triage across sessions", A5CampaignResume},
 		{"A6", "differential oracle campaign: clean sweep and fault drill", A6OracleCampaign},
-		{"A8", "campaign service: concurrent sessions, drain-resume, eviction", A8ServeCampaigns},
 	}
 }
 

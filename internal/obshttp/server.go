@@ -37,27 +37,7 @@ type Server struct {
 	// request and must be safe for concurrent use.
 	Info func() map[string]int64
 
-	// Mounts adds handlers to the introspection mux by pattern — the
-	// campaign server mounts its /api/ REST surface here so one port serves
-	// the API and the introspection endpoints alike. Patterns must not
-	// collide with the built-in endpoints.
-	Mounts map[string]http.Handler
-
-	// Sessions, when set, contributes per-session rows to /statusz — the
-	// campaign server reports each live and retained session here, backed by
-	// that session's own registry. Called on every request; must be safe for
-	// concurrent use.
-	Sessions func() []SessionStatus
-
 	start time.Time
-}
-
-// SessionStatus is one per-session row on /statusz: the session's identity,
-// lifecycle state, and headline numbers from its private registry.
-type SessionStatus struct {
-	ID       string           `json:"id"`
-	State    string           `json:"state"`
-	Headline map[string]int64 `json:"headline,omitempty"`
 }
 
 // New returns a server over the given observability handle, tailing the
@@ -98,9 +78,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	for pattern, h := range s.Mounts {
-		mux.Handle(pattern, h)
-	}
 	return mux
 }
 
@@ -133,7 +110,6 @@ type Statusz struct {
 	Metrics       map[string]int64 `json:"metrics"`
 	Phases        *obs.PhaseNode   `json:"phases,omitempty"`
 	FlightEvents  int64            `json:"flight_events_total"`
-	Sessions      []SessionStatus  `json:"sessions,omitempty"`
 }
 
 // RuntimeStatus is the process-health corner of /statusz, sampled at request
@@ -156,9 +132,6 @@ func (s *Server) statusz() Statusz {
 	}
 	if s.Info != nil {
 		st.Headline = s.Info()
-	}
-	if s.Sessions != nil {
-		st.Sessions = s.Sessions()
 	}
 	for _, m := range s.registry().Snapshot() {
 		st.Metrics[m.Name] = m.Value
@@ -205,14 +178,26 @@ func (s *Server) handleStatusz(w http.ResponseWriter, r *http.Request) {
 // handleEvents serves the flight recorder. The default is a dump: the retained
 // window as JSONL, oldest first. With ?follow=1 the dump is followed by a live
 // tail (new events as they are recorded) until the client disconnects or
-// ?max=N events have been streamed.
+// ?max=N events have been streamed. A follower subscribes before the dump is
+// taken and before the response headers go out, so once a client has the
+// headers, every later event reaches it; the tail skips events the dump
+// already sent.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
+	follow := r.URL.Query().Get("follow") != "" && s.Recorder != nil
+	var ch <-chan obs.Event
+	if follow {
+		var cancel func() int64
+		ch, cancel = s.Recorder.Subscribe(256)
+		defer cancel()
+	}
 	enc := json.NewEncoder(w)
+	var last int64 // highest sequence number dumped
 	for _, ev := range s.Recorder.Snapshot() {
 		_ = enc.Encode(ev)
+		last = ev.Seq
 	}
-	if r.URL.Query().Get("follow") == "" || s.Recorder == nil {
+	if !follow {
 		return
 	}
 	maxEvents := int64(1 << 62)
@@ -225,8 +210,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush()
 	}
-	ch, cancel := s.Recorder.Subscribe(256)
-	defer cancel()
 	ctx := r.Context()
 	var streamed int64
 	for streamed < maxEvents {
@@ -236,6 +219,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case ev, ok := <-ch:
 			if !ok {
 				return
+			}
+			if ev.Seq <= last {
+				continue
 			}
 			if err := enc.Encode(ev); err != nil {
 				return

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -178,11 +177,14 @@ func TestIntrospectionEndToEnd(t *testing.T) {
 }
 
 // TestEventsFollow checks the live tail: a follower receives events recorded
-// after it connected, then the handler returns once max is reached.
+// after it connected, then the handler returns once max is reached. The
+// handler subscribes before it sends the response headers, so the events
+// emitted after the GET returns all reach the follower.
 func TestEventsFollow(t *testing.T) {
 	o := obs.New()
 	rec := obs.NewFlightRecorder(16)
 	o.Trace = obs.NewTracer(nil).WithRecorder(rec)
+	o.Emit(obs.Event{Kind: "before"})
 	srv := obshttp.New(o)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -192,36 +194,19 @@ func TestEventsFollow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		// Keep emitting until the reader has what it needs; the subscriber
-		// registers asynchronously with the request.
-		for i := 0; i < 5000; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			o.Emit(obs.Event{Kind: "tick"})
-			time.Sleep(time.Millisecond)
-		}
-	}()
+	o.Emit(obs.Event{Kind: "tick"})
+	o.Emit(obs.Event{Kind: "tick"})
 	sc := bufio.NewScanner(resp.Body)
-	var got []obs.Event
+	var kinds []string
 	for sc.Scan() {
 		var ev obs.Event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("follow stream line not an Event: %v", err)
 		}
-		got = append(got, ev)
+		kinds = append(kinds, ev.Kind)
 	}
-	close(stop)
-	wg.Wait()
-	if len(got) < 2 {
-		t.Fatalf("followed stream delivered %d events, want ≥2", len(got))
+	if got := strings.Join(kinds, ","); got != "before,tick,tick" {
+		t.Fatalf("followed stream delivered %q, want the dump then both ticks", got)
 	}
 }
 

@@ -152,18 +152,25 @@ func TestSearchTimeoutReturnsPartialResults(t *testing.T) {
 }
 
 // TestExternalCancellation checks cooperative cancellation through a caller
-// context: cancel mid-search, get partial results flagged Cancelled.
+// context: cancel mid-search (from OnRun, after the 30th applied run), get
+// partial results flagged Cancelled.
 func TestExternalCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
+	const cancelAt = 30
+	applied := 0
 	start := time.Now()
 	st := runWorkers(lexapp.Lexer(), concolic.ModeHigherOrder,
-		search.Options{MaxRuns: 100000, Ctx: ctx}, 4, false)
+		search.Options{MaxRuns: 100000, Ctx: ctx, OnRun: func(search.RunRecord) {
+			if applied++; applied == cancelAt {
+				cancel()
+			}
+		}}, 4, false)
 	if !st.Budget.Cancelled {
 		t.Fatalf("expected Cancelled, got %s", budgetLine(st))
+	}
+	if st.Runs < cancelAt || st.Runs >= 100000 {
+		t.Errorf("cancelled after run %d, but the search applied %d runs", cancelAt, st.Runs)
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Errorf("cancellation was not prompt: %v", elapsed)

@@ -1,7 +1,6 @@
 package search
 
 import (
-	"container/list"
 	"strconv"
 
 	"hotg/internal/fol"
@@ -25,26 +24,9 @@ import (
 // the already-filtered miss list), so it needs no lock. Cached strategies are
 // shared across targets; consumers copy-on-extend (fol.FillFallback) rather
 // than mutate.
-//
-// With a positive capacity each map is LRU-bounded at that many entries:
-// lookups touch, inserts evict the least-recently-used entry past the cap.
-// Because the coordinator is the only client and touches entries in canonical
-// constraint order, the eviction sequence is itself deterministic at any
-// worker count — an evicted entry only costs a re-proof (the prover is a
-// function of formula + samples), never a different outcome, which is why
-// capped and uncapped searches stay bit-identical in canonical stats.
 type proofCache struct {
 	prove map[string]proveEntry
 	solve map[string]solveEntry
-
-	// capacity is the per-map entry cap (0 = unbounded). proveLRU/solveLRU
-	// order keys most-recent-first; the element maps locate a key's node.
-	capacity  int
-	proveLRU  *list.List
-	solveLRU  *list.List
-	proveElem map[string]*list.Element
-	solveElem map[string]*list.Element
-	evictions int64
 }
 
 type proveEntry struct {
@@ -57,70 +39,11 @@ type solveEntry struct {
 	model  *smt.Model
 }
 
-func newProofCache(capacity int) *proofCache {
-	c := &proofCache{
-		prove:    make(map[string]proveEntry),
-		solve:    make(map[string]solveEntry),
-		capacity: capacity,
+func newProofCache() *proofCache {
+	return &proofCache{
+		prove: make(map[string]proveEntry),
+		solve: make(map[string]solveEntry),
 	}
-	if capacity > 0 {
-		c.proveLRU, c.solveLRU = list.New(), list.New()
-		c.proveElem = make(map[string]*list.Element)
-		c.solveElem = make(map[string]*list.Element)
-	}
-	return c
-}
-
-// getProve looks up a higher-order entry, refreshing its recency.
-func (c *proofCache) getProve(key string) (proveEntry, bool) {
-	e, ok := c.prove[key]
-	if ok && c.capacity > 0 {
-		c.proveLRU.MoveToFront(c.proveElem[key])
-	}
-	return e, ok
-}
-
-// putProve inserts a higher-order entry, evicting the least-recently-used
-// one when the map is at capacity.
-func (c *proofCache) putProve(key string, e proveEntry) {
-	if _, exists := c.prove[key]; !exists && c.capacity > 0 {
-		if c.proveLRU.Len() >= c.capacity {
-			old := c.proveLRU.Back()
-			k := old.Value.(string)
-			c.proveLRU.Remove(old)
-			delete(c.proveElem, k)
-			delete(c.prove, k)
-			c.evictions++
-		}
-		c.proveElem[key] = c.proveLRU.PushFront(key)
-	}
-	c.prove[key] = e
-}
-
-// getSolve looks up a satisfiability entry, refreshing its recency.
-func (c *proofCache) getSolve(key string) (solveEntry, bool) {
-	e, ok := c.solve[key]
-	if ok && c.capacity > 0 {
-		c.solveLRU.MoveToFront(c.solveElem[key])
-	}
-	return e, ok
-}
-
-// putSolve inserts a satisfiability entry, evicting the least-recently-used
-// one when the map is at capacity.
-func (c *proofCache) putSolve(key string, e solveEntry) {
-	if _, exists := c.solve[key]; !exists && c.capacity > 0 {
-		if c.solveLRU.Len() >= c.capacity {
-			old := c.solveLRU.Back()
-			k := old.Value.(string)
-			c.solveLRU.Remove(old)
-			delete(c.solveElem, k)
-			delete(c.solve, k)
-			c.evictions++
-		}
-		c.solveElem[key] = c.solveLRU.PushFront(key)
-	}
-	c.solve[key] = e
 }
 
 // size returns the total number of live entries across both maps.

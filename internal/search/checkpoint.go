@@ -428,12 +428,10 @@ func (s *Stats) applyRec(rec statsRec) {
 // bookkeeping rather than trajectory (and an interrupted run that resumes
 // without a sink configured would otherwise never match).
 //
-// Proof-cache hit/miss counts are likewise excluded: with Options.CacheCap
-// an evicted obligation is re-proved — deterministically, to the same
-// outcome — so cache traffic is a resource-configuration fact (like the
-// worker count), not trajectory. Capped and uncapped searches over the same
-// program therefore canonicalize identically; snapshots still record the
-// raw counts.
+// Proof-cache hit/miss counts are likewise excluded: they record how the
+// trajectory was computed, not the trajectory, so a change to what the cache
+// keeps must not move the canonical bytes. Snapshots still record the raw
+// counts.
 func (s *Stats) Canonical() ([]byte, error) {
 	rec := s.encodeRec()
 	rec.Checkpoints = 0
@@ -677,14 +675,14 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("search: prove cache entry %q: %w", rec.Key, err)
 		}
-		s.cache.putProve(rec.Key, proveEntry{strategy: strat, outcome: outcome})
+		s.cache.prove[rec.Key] = proveEntry{strategy: strat, outcome: outcome}
 	}
 	for _, rec := range snap.Solve {
 		status, ok := smt.ParseStatus(rec.Status)
 		if !ok {
 			return fmt.Errorf("search: solve cache entry %q has unknown status %q", rec.Key, rec.Status)
 		}
-		s.cache.putSolve(rec.Key, solveEntry{status: status, model: rec.Model})
+		s.cache.solve[rec.Key] = solveEntry{status: status, model: rec.Model}
 	}
 	s.lastCkpt = s.stats.Runs
 	return nil
@@ -699,7 +697,7 @@ func (snap *Snapshot) Validate(eng *concolic.Engine) error {
 	trial := &searcher{
 		eng:   eng.Clone(sym.NewSampleStore()),
 		stats: newStats(eng.Mode.String(), eng.Prog.NumBranches),
-		cache: newProofCache(0),
+		cache: newProofCache(),
 	}
 	return trial.restoreSnapshot(snap)
 }

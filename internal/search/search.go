@@ -92,16 +92,6 @@ type Options struct {
 	// bit-identical either way (the equivalence gate in the tests depends on
 	// it); the flag exists for ablations and for isolating solver regressions.
 	NoIncrementalSMT bool
-	// CacheCap, when positive, bounds each proof-cache map (validity proofs
-	// and satisfiability results) to CacheCap entries with LRU eviction;
-	// zero keeps today's unbounded growth. Eviction may cost wall clock (an
-	// evicted obligation is re-proved on next occurrence) but never
-	// determinism: the cache lives on the coordinator and is touched in
-	// canonical constraint order, and re-proving is a pure function of
-	// formula + samples, so canonical stats stay bit-identical to an
-	// uncapped run at any worker count. Long-running servers set this to
-	// bound per-session memory (DESIGN.md §14).
-	CacheCap int
 }
 
 // item is one unit of search work: an input to execute, with the trace
@@ -157,7 +147,7 @@ func Run(eng *concolic.Engine, opts Options) *Stats {
 		panic("search: at least one seed input is required")
 	}
 	s := &searcher{eng: eng, opts: opts, stats: newStats(eng.Mode.String(), eng.Prog.NumBranches)}
-	s.cache = newProofCache(opts.CacheCap)
+	s.cache = newProofCache()
 	s.obs = opts.Obs
 	s.live.init(s.obs)
 	if s.obs.Enabled() && eng.Obs == nil {
@@ -241,7 +231,6 @@ func Run(eng *concolic.Engine, opts Options) *Stats {
 	}
 	start := time.Now()
 	s.run()
-	s.stats.ProofCacheEvictions = s.cache.evictions
 	s.stats.WallTime = time.Since(start)
 	s.stats.SolveTime = time.Duration(s.solveNanos)
 	s.stats.SamplesLearned = eng.Samples.Len()
@@ -295,7 +284,6 @@ func (s *searcher) flushObs() {
 	o.Counter("search.solver.sat").Add(int64(st.SolverSat))
 	o.Counter("search.proof_cache.hits").Add(int64(st.ProofCacheHits))
 	o.Counter("search.proof_cache.misses").Add(int64(st.ProofCacheMisses))
-	o.Counter("search.proof_cache.evictions").Add(st.ProofCacheEvictions)
 	o.Gauge("search.proof_cache.size").Set(int64(s.cache.size()))
 	o.Counter("search.wall_ns").Add(int64(st.WallTime))
 	o.Counter("search.solve_ns").Add(int64(st.SolveTime))
@@ -874,7 +862,7 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 	var todo []*target
 	for _, t := range targets {
 		t.cacheKey = proveKey(t.alt, version)
-		if e, ok := s.cache.getProve(t.cacheKey); ok {
+		if e, ok := s.cache.prove[t.cacheKey]; ok {
 			t.strategy, t.outcome, t.fromCache = e.strategy, e.outcome, true
 			if s.shouldDegrade(t.outcome, false) {
 				todo = append(todo, t)
@@ -927,14 +915,14 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 		// one fan-out sharing a formula are proved twice concurrently; the
 		// second is still accounted as a hit, its duplicate result dropped.)
 		cached := "miss"
-		if e, ok := s.cache.getProve(t.cacheKey); ok {
+		if e, ok := s.cache.prove[t.cacheKey]; ok {
 			cached = "hit"
 			s.stats.ProofCacheHits++
 			t.strategy, t.outcome = e.strategy, e.outcome
 		} else {
 			s.stats.ProofCacheMisses++
 			if t.outcome != fol.OutcomeTimeout && !t.panicked {
-				s.cache.putProve(t.cacheKey, proveEntry{strategy: t.strategy, outcome: t.outcome})
+				s.cache.prove[t.cacheKey] = proveEntry{strategy: t.strategy, outcome: t.outcome}
 			}
 		}
 		s.stats.ProverCalls++
@@ -1014,12 +1002,8 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 	var todo []*target
 	for _, t := range targets {
 		t.cacheKey = t.alt.Key()
-		if e, ok := s.cache.getSolve(t.cacheKey); ok {
-			// Stash the entry on the target: under Options.CacheCap it can
-			// be evicted between selection and accounting (by a later fill
-			// in this same batch), and a selection-time hit must keep its
-			// result either way.
-			t.status, t.model, t.fromCache, t.done = e.status, e.model, true, true
+		if _, ok := s.cache.solve[t.cacheKey]; ok {
+			t.done = true // a selection-time hit, read back when accounted
 		} else {
 			todo = append(todo, t)
 		}
@@ -1051,7 +1035,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 			}
 		}
 		cached := "miss"
-		if e, ok := s.cache.getSolve(t.cacheKey); ok {
+		if e, ok := s.cache.solve[t.cacheKey]; ok {
 			cached = "hit"
 			s.stats.ProofCacheHits++
 			t.status, t.model = e.status, e.model
@@ -1060,7 +1044,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 			// A timed-out query is not cached: the verdict records wall-clock
 			// exhaustion, not a property of the formula.
 			if t.status != smt.StatusTimeout {
-				s.cache.putSolve(t.cacheKey, solveEntry{status: t.status, model: t.model})
+				s.cache.solve[t.cacheKey] = solveEntry{status: t.status, model: t.model}
 			}
 		}
 		if t.status == smt.StatusTimeout {

@@ -70,13 +70,6 @@ type Stats struct {
 	// cache, in coordinator apply order — deterministic at any worker count.
 	ProofCacheHits   int
 	ProofCacheMisses int
-	// ProofCacheEvictions counts LRU evictions from a capped proof cache
-	// (Options.CacheCap); zero for unbounded runs. Deterministic at any
-	// worker count, but session-local like Resumed: a resumed session
-	// rebuilds recency from the snapshot's sorted entries, so the count is
-	// resource bookkeeping, not trajectory — absent from snapshots and
-	// Canonical.
-	ProofCacheEvictions int64
 	// ProofsPerWorker[w] counts the prover/solver tasks worker w executed.
 	// The total is deterministic; the split depends on scheduling.
 	ProofsPerWorker []int64

@@ -158,25 +158,6 @@ func (s *SampleStore) Len() int {
 	return n + len(s.order)
 }
 
-// MemBytes returns a rough accounting of the bytes the store retains
-// (including base entries for an overlay): per-sample argument storage plus
-// fixed map/slice overhead. An estimate for budget accounting, not an exact
-// heap measurement.
-func (s *SampleStore) MemBytes() int64 {
-	var n int64
-	if s.base != nil {
-		n = s.base.MemBytes()
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, smp := range s.order {
-		// Each sample is stored twice (byFn map + order slice): args, output,
-		// the map key string, and node overhead.
-		n += 2*8*int64(len(smp.Args)) + 8 + int64(3*len(smp.Args)) + 96
-	}
-	return n
-}
-
 // LocalLen reports the number of samples recorded in this store itself,
 // excluding any base store.
 func (s *SampleStore) LocalLen() int {
