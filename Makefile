@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build lint vet test race test-faults test-campaign test-difftest test-higher fuzz-smoke bench bench-smoke bench-json bench-diff tables verify
+.PHONY: all build lint vet test race test-faults test-campaign test-difftest test-higher test-hotgbench fuzz-smoke bench bench-smoke bench-json bench-diff tables verify
 
 all: build lint vet test
 
@@ -57,6 +57,13 @@ test-difftest:
 test-higher:
 	$(GO) test -race -timeout 15m -short -run 'Callback|FuncVal|FuncValue|FuncParams|HigherOrder' ./internal/mini/ ./internal/sym/ ./internal/search/ ./internal/concolic/ ./internal/difftest/ ./cmd/hotg/
 
+# The benchmark's self-check: hotgbench is a module of its own, so `go test
+# ./...` never reaches it. Its tests run one cycle of each workload, which must
+# reproduce the canonical digests committed in hotgbench/reference.json and
+# print every metric BENCHMARK.json names. See hotgbench/README.md.
+test-hotgbench:
+	cd hotgbench && $(GO) test .
+
 # Short native-fuzz smoke: each entry point gets a few seconds from its seed
 # corpus. `go test -fuzz` accepts one target per invocation, hence the list.
 fuzz-smoke:
@@ -95,4 +102,4 @@ bench-diff:
 tables:
 	$(GO) run ./cmd/benchtab -quick
 
-verify: lint vet test race test-faults test-campaign test-difftest test-higher
+verify: lint vet test race test-faults test-campaign test-difftest test-higher test-hotgbench

@@ -162,6 +162,37 @@ func TestCampaignSession(t *testing.T) {
 				t.Fatalf("first event = %+v, want checkpoint_rejected carrying the error", evs[:min(1, len(evs))])
 			}
 		}},
+		{"format-2 checkpoint is rejected and reported", func(t *testing.T, dir string) {
+			// Format 3 changed how target dedup keys encode branch IDs, so a
+			// format-2 key set cannot be reused: the checkpoint must be
+			// refused, not resumed with keys that never match.
+			interrupt(t, dir, w)
+			c, err := campaign.Open(dir, w.Name, concolic.ModeHigherOrder.String(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := c.LatestCheckpoint()
+			if err != nil || snap == nil {
+				t.Fatalf("latest checkpoint: %v, %v", snap, err)
+			}
+			snap.FormatVersion = 2
+			if err := c.SaveCheckpoint(snap); err != nil {
+				t.Fatal(err)
+			}
+			opts := sessionOpts(w, 10)
+			opts.Obs = &obs.Obs{Trace: obs.NewTracer(nil).Keep()}
+			s, opts, _ := runStarted(t, dir, w, opts)
+			if s.Rejected == nil || !strings.Contains(s.Rejected.Error(), "format version 2") {
+				t.Fatalf("Rejected = %v, want a format version 2 rejection", s.Rejected)
+			}
+			if opts.Restore != nil || !s.Seeded {
+				t.Fatalf("after rejection: restored=%v seeded=%v, want a corpus start", opts.Restore != nil, s.Seeded)
+			}
+			evs := opts.Obs.Trace.Events()
+			if len(evs) == 0 || evs[0].Kind != "checkpoint_rejected" || evs[0].Str["err"] != s.Rejected.Error() {
+				t.Fatalf("first event = %+v, want checkpoint_rejected carrying the error", evs[:min(1, len(evs))])
+			}
+		}},
 		{"held lock fails with the owner's pid", func(t *testing.T, dir string) {
 			l, err := campaign.AcquireLock(dir)
 			if err != nil {

@@ -56,8 +56,8 @@ type Options struct {
 	Deadline time.Time
 	// SMT, when non-nil, is an incremental solver session used for the
 	// residual arithmetic solves. When nil (and NoIncrementalSMT is unset)
-	// ProveCore creates a private session for the call, so repeated residual
-	// formulas within one proof search are answered from the session memo.
+	// ProveCore creates a private session for the call, so the residual
+	// solves of one proof search share its Ackermann expansion.
 	// Callers that share a session across calls must confine it to one
 	// goroutine.
 	SMT *smt.Context
@@ -108,11 +108,10 @@ func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, 
 		opts.Pool = &sym.Pool{}
 	}
 	if opts.SMT == nil && !opts.NoIncrementalSMT {
-		// Private per-call session: sequential use, so the result memo and
-		// Ackermann-expansion reuse cannot introduce scheduling dependence.
+		// Private per-call session: sequential use, so Ackermann-expansion
+		// reuse cannot introduce scheduling dependence.
 		opts.SMT = smt.NewContext(smt.ContextOptions{
-			Options:  smt.Options{Pool: opts.Pool, VarBounds: opts.VarBounds, Obs: opts.Obs},
-			MemoSize: 512,
+			Options: smt.Options{Pool: opts.Pool, VarBounds: opts.VarBounds, Obs: opts.Obs},
 		})
 	}
 	o := opts.Obs
@@ -231,23 +230,9 @@ func (p *prover) search(conjuncts []sym.Expr, defs []Def, depth int) *Strategy {
 }
 
 func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth int) *Strategy {
-	if p.budget <= 0 || depth > p.opts.MaxDepth {
+	if !p.enter(len(conjuncts), depth) {
 		return nil
 	}
-	// Defensive width guard (independent of the node budget): EUF and sample
-	// steps append equations, so an adversarial goal can grow without ever
-	// burning many nodes. Past the hard cap this branch simply fails.
-	if len(conjuncts) > hardMaxConjuncts {
-		return nil
-	}
-	if p.timedOut {
-		return nil
-	}
-	p.polls++
-	if p.polls&63 == 0 && p.expired() {
-		return nil
-	}
-	p.budget--
 
 	before := len(defs)
 	conjuncts, defs, ok := p.simplify(conjuncts, defs)
@@ -272,15 +257,91 @@ func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth 
 	}
 
 	for _, ch := range p.choices(conjuncts, target) {
-		next, ndefs, ok := p.apply(conjuncts, defs, ch)
-		if !ok {
-			continue
-		}
-		if st := p.searchT(next, ndefs, append(trace[:len(trace):len(trace)], tstep{ch: ch}), depth+1); st != nil {
+		if st := p.step(conjuncts, defs, trace, depth, ch); st != nil {
 			return st
 		}
 	}
+	// Sample binding: for each application in the conjunct, each recorded
+	// sample of its function symbol is a candidate. Most candidates contradict
+	// the goal outright; they are refuted without building the child goal but
+	// charged the one node the child would have spent failing.
+	c, isCmp := conjuncts[target].(*sym.Cmp)
+	if !isCmp {
+		return nil
+	}
+	for _, app := range sym.Applies(c) {
+		key := app.Key()
+		for _, s := range p.samples.ForFunc(app.Fn) {
+			if bindingRefuted(conjuncts, app, key, s) {
+				p.enter(len(conjuncts)+len(app.Args), depth+1)
+				continue
+			}
+			ch := choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target}
+			if st := p.step(conjuncts, defs, trace, depth, ch); st != nil {
+				return st
+			}
+		}
+	}
 	return nil
+}
+
+// enter opens one proof-search node for a goal of width conjuncts at the
+// given depth: it fails when a limit is hit (node budget, depth, goal width,
+// deadline) and otherwise charges the node against the budget.
+func (p *prover) enter(width, depth int) bool {
+	if p.budget <= 0 || depth > p.opts.MaxDepth {
+		return false
+	}
+	// Defensive width guard (independent of the node budget): EUF and sample
+	// steps append equations, so an adversarial goal can grow without ever
+	// burning many nodes. Past the hard cap this branch simply fails.
+	if width > hardMaxConjuncts {
+		return false
+	}
+	if p.timedOut {
+		return false
+	}
+	p.polls++
+	if p.polls&63 == 0 && p.expired() {
+		return false
+	}
+	p.budget--
+	return true
+}
+
+// step applies one proof step and searches the resulting goal.
+func (p *prover) step(conjuncts []sym.Expr, defs []Def, trace []tstep, depth int, ch choice) *Strategy {
+	next, ndefs, ok := p.apply(conjuncts, defs, ch)
+	if !ok {
+		return nil
+	}
+	return p.searchT(next, ndefs, append(trace[:len(trace):len(trace)], tstep{ch: ch}), depth+1)
+}
+
+// bindingRefuted reports, without building anything, that binding app (whose
+// canonical key is key) to sample s yields a goal with a constant-false
+// conjunct, which simplify rejects on entry. That happens when an argument
+// equation relates two unequal constants, or when a comparison conjunct's
+// only term is the bound application and its folded value fails the
+// comparison. The check is conservative: a false result promises nothing.
+func bindingRefuted(conjuncts []sym.Expr, app *sym.Apply, key string, s sym.Sample) bool {
+	for i, arg := range app.Args {
+		if v, isC := arg.IsConst(); isC && v != s.Args[i] {
+			return true
+		}
+	}
+	for _, c := range conjuncts {
+		cmp, isCmp := c.(*sym.Cmp)
+		if !isCmp || len(cmp.S.Terms) != 1 {
+			continue
+		}
+		t := cmp.S.Terms[0]
+		if a, isApp := t.Atom.(*sym.Apply); isApp && (a == app || a.Key() == key) &&
+			!cmp.Op.Holds(cmp.S.Const+t.Coef*s.Out) {
+			return true
+		}
+	}
+	return false
 }
 
 // describe renders one proof step for the derivation trace.
@@ -400,7 +461,9 @@ func solveForVar(c *sym.Cmp, op sym.CmpOp) (*Def, bool) {
 	return nil, false
 }
 
-// choices enumerates the applicable proof steps on conjunct target.
+// choices enumerates the disjunct, EUF and definitional steps on conjunct
+// target. Sample bindings, which are far more numerous, are enumerated lazily
+// by searchT after these.
 func (p *prover) choices(conjuncts []sym.Expr, target int) []choice {
 	var out []choice
 	switch c := conjuncts[target].(type) {
@@ -427,13 +490,6 @@ func (p *prover) choices(conjuncts []sym.Expr, target int) []choice {
 		// Definitional: solve for a ±1-coefficient variable.
 		if d, ok := solveForVar(c, c.Op); ok {
 			out = append(out, choice{kind: 0, defVar: d.Var, defTerm: d.Term, dropIdx: target})
-		}
-		// Sample binding: for each application in the conjunct, each
-		// recorded sample of its function symbol is a candidate.
-		for _, app := range sym.Applies(c) {
-			for _, s := range p.samples.ForFunc(app.Fn) {
-				out = append(out, choice{kind: 2, sampApp: app, sampVal: s, dropIdx: target})
-			}
 		}
 	}
 	return out

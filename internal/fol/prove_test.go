@@ -269,3 +269,76 @@ func TestProofTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestBindingRefutedIsSound: every sample binding the allocation-free check
+// rejects really yields a goal that simplify fails on, so skipping its
+// construction cannot lose a proof. Goals are hash-style: sampled functions
+// under Eq/Ne/Le comparisons, with constant, variable and nested arguments,
+// and with or without other terms beside the application.
+func TestBindingRefutedIsSound(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var p sym.Pool
+	h, g := p.FuncSym("h", 1), p.FuncSym("g", 2)
+	x, y := p.NewVar("x"), p.NewVar("y")
+	samples := sym.NewSampleStore()
+	for i := 0; i < 12; i++ {
+		a, b, c := int64(r.Intn(10)), int64(r.Intn(4)), int64(r.Intn(4))
+		samples.Add(h, []int64{a}, (7*a+3)%6)
+		samples.Add(g, []int64{b, c}, (b+2*c)%6)
+	}
+	arg := func() *sym.Sum {
+		switch r.Intn(4) {
+		case 0:
+			return sym.Int(int64(r.Intn(10)))
+		case 1:
+			return sym.VarTerm(x)
+		case 2:
+			return sym.AddSum(sym.VarTerm(y), sym.Int(int64(r.Intn(3))))
+		}
+		return sym.ApplyTerm(h, sym.VarTerm(x))
+	}
+	app := func() *sym.Sum {
+		if r.Intn(3) == 0 {
+			return sym.ApplyTerm(g, arg(), arg())
+		}
+		return sym.ApplyTerm(h, arg())
+	}
+	ops := []func(a, b *sym.Sum) sym.Expr{sym.Eq, sym.Ne, sym.Le}
+	rejected, kept := 0, 0
+	for iter := 0; iter < 400; iter++ {
+		var cs []sym.Expr
+		for n := 1 + r.Intn(3); n > 0; n-- {
+			lhs := sym.ScaleSum(int64(1+r.Intn(2)), app())
+			if r.Intn(4) == 0 {
+				lhs = sym.AddSum(lhs, sym.VarTerm(y))
+			}
+			c := ops[r.Intn(len(ops))](lhs, sym.Int(int64(r.Intn(8))))
+			if _, isCmp := c.(*sym.Cmp); isCmp {
+				cs = append(cs, c)
+			}
+		}
+		pr := &prover{samples: samples}
+		for target, c := range cs {
+			for _, a := range sym.Applies(c) {
+				for _, s := range samples.ForFunc(a.Fn) {
+					if !bindingRefuted(cs, a, a.Key(), s) {
+						kept++
+						continue
+					}
+					rejected++
+					next, defs, ok := pr.apply(cs, nil, choice{kind: 2, sampApp: a, sampVal: s, dropIdx: target})
+					if !ok {
+						continue
+					}
+					if _, _, ok := pr.simplify(next, defs); ok {
+						t.Fatalf("binding %v to %v was refuted, but the goal %v simplifies", a, s, next)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d bindings refuted, %d kept", rejected, kept)
+	if rejected == 0 || kept == 0 {
+		t.Fatalf("rejected %d and kept %d bindings: the goals do not exercise both sides", rejected, kept)
+	}
+}

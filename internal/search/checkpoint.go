@@ -34,8 +34,10 @@ import (
 // Snapshots with a different version are rejected on restore — state formats
 // evolve by bumping the version, never by silently reinterpreting old bytes.
 // Version 2 packs expected branch traces and dedup keys (see trace and
-// keySet); DESIGN.md §9 records what changed.
-const SnapshotFormatVersion = 2
+// keySet); version 3 encodes every event of a target dedup key exactly (see
+// keyPacker), where version 2 folded each branch ID into one byte.
+// DESIGN.md §9 records what changed.
+const SnapshotFormatVersion = 3
 
 // CheckpointOptions configures periodic coordinator-state snapshots.
 type CheckpointOptions struct {

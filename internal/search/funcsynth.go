@@ -171,7 +171,7 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 	if ok, probes := fol.Holds(t.alt, values, store); len(probes) == 0 && !ok {
 		return false
 	}
-	s.enqueueTest(input, ex.Funcs, t.expected, t.k+1, hot, RungProof)
+	s.enqueueTest(input, ex.Funcs, ex.ExpectedTrace(t.k), t.k+1, hot, RungProof)
 	return true
 }
 
@@ -230,7 +230,7 @@ func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot boo
 		funcs[i] = fv.Canon()
 		s.stats.FuncsSynthesized++
 	}
-	s.enqueueTest(input, funcs, t.expected, t.k+1, hot, RungQF)
+	s.enqueueTest(input, funcs, ex.ExpectedTrace(t.k), t.k+1, hot, RungQF)
 }
 
 // callbackIndex maps a callback symbol to its function-parameter index, or -1

@@ -748,8 +748,9 @@ func diverged(actual, expected []mini.BranchEvent) bool {
 // target is one proof obligation of an expansion: ALT(pc_k) with its trace
 // prediction. The solve phase fills the result fields.
 type target struct {
-	alt      sym.Expr
-	expected []mini.BranchEvent
+	alt sym.Expr
+	// k indexes the negated constraint in the execution's path constraint;
+	// ex.ExpectedTrace(k) is the target's trace prediction.
 	k        int
 	cacheKey string
 	// Higher-order result: core strategy (no fallback defs) and outcome.
@@ -786,28 +787,27 @@ type target struct {
 // so they are discharged concurrently and their results applied in constraint
 // order.
 func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
-	// The prefix grows by one conjunct per constraint; precomputing each
-	// conjunct's variable set here keeps the per-target slicing linear in the
-	// path length instead of re-extracting every prefix entry's variables for
-	// every target (quadratic in path length).
-	prefix := make([]sliceEntry, 0, len(ex.PC))
+	// The prefix grows by one conjunct per constraint. The slicer and the key
+	// packer take in each conjunct's dependencies and branch event once, not
+	// once per target; a target's expected trace is copied only if it yields
+	// a test.
+	prefix := newSlicer()
 	for i := 0; i < bound && i < len(ex.PC); i++ {
 		e := ex.PC[i].Expr
-		prefix = append(prefix, sliceEntry{expr: e, vars: depIDs(e)})
+		prefix.add(e, depIDs(e))
 	}
+	keys := keyPacker{branches: ex.Result.Branches}
 	var targets, callback []*target
 	for k := bound; k < len(ex.PC); k++ {
 		c := ex.PC[k]
 		if c.IsConcretization {
-			prefix = append(prefix, sliceEntry{expr: c.Expr, vars: depIDs(c.Expr)})
+			prefix.add(c.Expr, depIDs(c.Expr))
 			continue
 		}
 		negated := sym.NotExpr(c.Expr)
-		expected := ex.ExpectedTrace(k)
-		key := targetKey(expected, negated)
-		if !s.targeted[key] {
-			s.targeted[key] = true
-			t := &target{alt: sliceAltPre(prefix, negated), expected: expected, k: k, worker: -1}
+		if key := keys.key(c.EventIndex, negated); !s.targeted[string(key)] {
+			s.targeted[string(key)] = true
+			t := &target{alt: prefix.slice(negated), k: k, worker: -1}
 			if hasInputFn(t.alt) {
 				// The target constrains a function-valued input: it is solved
 				// by the witness-constructor path (funcsynth.go), which
@@ -824,7 +824,7 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 					}})
 			}
 		}
-		prefix = append(prefix, sliceEntry{expr: c.Expr, vars: depIDs(c.Expr)})
+		prefix.add(c.Expr, depIDs(c.Expr))
 	}
 	if len(targets) > 0 {
 		if s.eng.Mode == concolic.ModeHigherOrder {
@@ -957,7 +957,7 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 				// input's values.
 				strategy: fol.FillFallback(t.strategy, t.alt, fb),
 				alt:      t.alt,
-				expected: t.expected,
+				expected: ex.ExpectedTrace(t.k),
 				fallback: fallback,
 				funcs:    ex.Funcs,
 				bound:    t.k + 1,
@@ -990,7 +990,7 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 		if t.status != smt.StatusSat {
 			continue
 		}
-		s.enqueueTest(s.inputFrom(t.model.Vars, fallback), ex.Funcs, t.expected, t.k+1, hot, t.rung)
+		s.enqueueTest(s.inputFrom(t.model.Vars, fallback), ex.Funcs, ex.ExpectedTrace(t.k), t.k+1, hot, t.rung)
 	}
 }
 
@@ -1071,7 +1071,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 		}
 		// Lower modes already solve at the quantifier-free rung; tag their
 		// tests accordingly so per-rung counts are meaningful across modes.
-		s.enqueueTest(input, ex.Funcs, t.expected, t.k+1, hot, RungQF)
+		s.enqueueTest(input, ex.Funcs, ex.ExpectedTrace(t.k), t.k+1, hot, RungQF)
 	}
 }
 

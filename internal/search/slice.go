@@ -1,72 +1,91 @@
 package search
 
 import (
+	"encoding/binary"
+
 	"hotg/internal/mini"
 	"hotg/internal/sym"
 )
 
-// sliceAlt computes the classic DART/SAGE "related constraints" optimization:
+// slicer computes the classic DART/SAGE "related constraints" optimization:
 // from the alternate path constraint prefix ∧ ¬c_k, keep only the conjuncts
 // that transitively share input variables with the negated constraint. The
 // dropped conjuncts are satisfied by keeping their variables at the parent
 // input's values (the parent run satisfied every prefix conjunct), so a
 // solution of the slice extends to a solution of the full alternate
 // constraint — at a fraction of the solving cost.
-func sliceAlt(prefix []sym.Expr, negated sym.Expr) sym.Expr {
-	entries := make([]sliceEntry, 0, len(prefix))
-	for _, e := range prefix {
-		entries = append(entries, sliceEntry{expr: e, vars: varIDs(e)})
+//
+// expand slices one growing prefix against many negated constraints, so the
+// slicer keeps the prefix's variable sharing in a union-find that grows with
+// it: add merges a conjunct's dependency IDs into one set, and a conjunct is
+// related to a negated constraint exactly when its set contains one of the
+// constraint's variables.
+type slicer struct {
+	exprs []sym.Expr
+	// rep is, per prefix conjunct, a union-find node of its dependency set,
+	// or -1 for a conjunct without dependencies (never related).
+	rep    []int
+	node   map[int]int // dependency ID → union-find node
+	parent []int
+	// mark[root] == query marks a set holding a variable of the current
+	// query's negated constraint.
+	mark  []int
+	query int
+}
+
+func newSlicer() *slicer { return &slicer{node: map[int]int{}} }
+
+// add appends a conjunct with dependency IDs ids to the prefix.
+func (sl *slicer) add(e sym.Expr, ids []int) {
+	r := -1
+	for _, id := range ids {
+		n, ok := sl.node[id]
+		if !ok {
+			n = len(sl.parent)
+			sl.node[id] = n
+			sl.parent = append(sl.parent, n)
+			sl.mark = append(sl.mark, 0)
+		}
+		n = sl.find(n)
+		if r < 0 {
+			r = n
+		} else if n != r {
+			sl.parent[n] = r
+		}
 	}
-	return sliceAltPre(entries, negated)
+	sl.exprs = append(sl.exprs, e)
+	sl.rep = append(sl.rep, r)
 }
 
-// sliceEntry is one prefix conjunct with its variable set precomputed, so a
-// caller slicing the same growing prefix against many negated constraints
-// (expand) extracts each conjunct's variables once instead of once per target.
-type sliceEntry struct {
-	expr sym.Expr
-	vars []int
+// find returns n's root, halving the path on the way.
+func (sl *slicer) find(n int) int {
+	for sl.parent[n] != n {
+		sl.parent[n] = sl.parent[sl.parent[n]]
+		n = sl.parent[n]
+	}
+	return n
 }
 
-// sliceAltPre is sliceAlt over a prefix whose variable sets are already
-// known. It never mutates entries, which the caller keeps across calls.
-func sliceAltPre(entries []sliceEntry, negated sym.Expr) sym.Expr {
-	used := make([]bool, len(entries))
-	reach := map[int]bool{}
+// slice returns the prefix conjuncts related to negated, in prefix order,
+// conjoined with negated.
+func (sl *slicer) slice(negated sym.Expr) sym.Expr {
+	sl.query++
+	seeded := false
 	for _, id := range varIDs(negated) {
-		reach[id] = true
+		if n, ok := sl.node[id]; ok {
+			sl.mark[sl.find(n)] = sl.query
+			seeded = true
+		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for i := range entries {
-			if used[i] {
-				continue
-			}
-			hit := false
-			for _, id := range entries[i].vars {
-				if reach[id] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			used[i] = true
-			changed = true
-			for _, id := range entries[i].vars {
-				reach[id] = true
+	var parts []sym.Expr
+	if seeded {
+		for i, r := range sl.rep {
+			if r >= 0 && sl.mark[sl.find(r)] == sl.query {
+				parts = append(parts, sl.exprs[i])
 			}
 		}
 	}
-	parts := make([]sym.Expr, 0, len(entries)+1)
-	for i, e := range entries {
-		if used[i] {
-			parts = append(parts, e.expr)
-		}
-	}
-	parts = append(parts, negated)
-	return sym.AndExpr(parts...)
+	return sym.AndExpr(append(parts, negated)...)
 }
 
 func varIDs(e sym.Expr) []int {
@@ -107,19 +126,51 @@ func hasInputFn(e sym.Expr) bool {
 	return false
 }
 
-// targetKey identifies a flip attempt: the predicted trace (which encodes the
-// path prefix and the flipped event) plus the negated constraint. Identical
-// targets from different parents would generate identical tests, so they are
-// solved at most once.
-func targetKey(expected []mini.BranchEvent, negated sym.Expr) string {
-	buf := make([]byte, len(expected), len(expected)+32)
-	for i, ev := range expected {
-		c := byte('0')
-		if ev.Taken {
-			c = '1'
-		}
-		// Mix the branch ID into the signature.
-		buf[i] = c ^ byte(ev.ID<<1)
+// keyPacker computes the dedup keys of one execution's flip targets. A key
+// identifies a flip attempt: the predicted trace (which encodes the path
+// prefix and the flipped event) plus the negated constraint. Identical targets
+// from different parents would generate identical tests, so they are solved at
+// most once. The key is exact: the trace's events (appendKeyEvent), a zero
+// byte, then the negated constraint's canonical key. It packs the
+// execution's branch trace once, so a key costs a copy of the packed prefix
+// instead of a copied trace.
+type keyPacker struct {
+	branches []mini.BranchEvent
+	packed   []byte // events branches[:len(offs)], packed
+	offs     []int  // offs[i]: offset of event i in packed
+	buf      []byte
+}
+
+// key returns the key of the target that flips event idx of the trace and
+// negates a constraint to negated. The result is valid until the next call.
+func (kb *keyPacker) key(idx int, negated sym.Expr) []byte {
+	for len(kb.offs) <= idx {
+		kb.offs = append(kb.offs, len(kb.packed))
+		kb.packed = appendKeyEvent(kb.packed, kb.branches[len(kb.offs)-1])
 	}
-	return string(buf) + "|" + negated.Key()
+	flipped := kb.branches[idx]
+	flipped.Taken = !flipped.Taken
+	b := append(kb.buf[:0], kb.packed[:kb.offs[idx]]...)
+	b = appendKeyEvent(b, flipped)
+	b = append(b, 0)
+	b = append(b, negated.Key()...)
+	kb.buf = b
+	return b
+}
+
+// appendKeyEvent packs one branch event of a dedup key. With v = ID<<1 |
+// taken, the event is the byte v+1 when that is below 0xff, and otherwise
+// 0xff followed by uvarint(v). A zero byte therefore never starts an event
+// and can end the trace. Programs with at most 127 branches pack one
+// byte per event; keys that share a trace prefix share a byte prefix, which
+// the checkpoint's front-coded key sets rely on.
+func appendKeyEvent(dst []byte, ev mini.BranchEvent) []byte {
+	v := uint64(ev.ID) << 1
+	if ev.Taken {
+		v |= 1
+	}
+	if v < 0xfe {
+		return append(dst, byte(v+1))
+	}
+	return binary.AppendUvarint(append(dst, 0xff), v)
 }

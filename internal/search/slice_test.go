@@ -11,6 +11,26 @@ import (
 	"hotg/internal/sym"
 )
 
+// sliceAlt slices prefix ∧ ¬c against negated the way expand does, with
+// each prefix conjunct's variables as its dependencies.
+func sliceAlt(prefix []sym.Expr, negated sym.Expr) sym.Expr {
+	sl := newSlicer()
+	for _, e := range prefix {
+		sl.add(e, varIDs(e))
+	}
+	return sl.slice(negated)
+}
+
+// targetKey is the dedup key expand computes for a target whose predicted
+// trace is expected (the last event being the flipped one).
+func targetKey(expected []mini.BranchEvent, negated sym.Expr) string {
+	branches := append([]mini.BranchEvent(nil), expected...)
+	last := len(branches) - 1
+	branches[last].Taken = !branches[last].Taken
+	kb := keyPacker{branches: branches}
+	return string(kb.key(last, negated))
+}
+
 func TestSliceAltKeepsRelated(t *testing.T) {
 	var p sym.Pool
 	x, y, z := p.NewVar("x"), p.NewVar("y"), p.NewVar("z")
@@ -120,6 +140,108 @@ func TestTargetKeyDistinguishes(t *testing.T) {
 	if targetKey(tr1, c1) != targetKey(tr1, c1) {
 		t.Fatal("identical targets must collide")
 	}
+}
+
+// TestTargetKeyExactBranchIDs: branch IDs that agree in their low bits
+// still give distinct keys (a byte-folded encoding made 5 and 133 collide).
+func TestTargetKeyExactBranchIDs(t *testing.T) {
+	var p sym.Pool
+	x := p.NewVar("x")
+	c := sym.Eq(sym.VarTerm(x), sym.Int(1))
+	k5 := targetKey([]mini.BranchEvent{{ID: 5, Taken: true}}, c)
+	k133 := targetKey([]mini.BranchEvent{{ID: 133, Taken: true}}, c)
+	if k5 == k133 {
+		t.Fatalf("branch IDs 5 and 133 share the key %q", k5)
+	}
+}
+
+// TestKeyPackerIncremental: one packer answering targets in any order
+// returns the same keys as a fresh packer per target.
+func TestKeyPackerIncremental(t *testing.T) {
+	var p sym.Pool
+	x := p.NewVar("x")
+	r := rand.New(rand.NewSource(5))
+	branches := make([]mini.BranchEvent, 300)
+	for i := range branches {
+		branches[i] = mini.BranchEvent{ID: r.Intn(400), Taken: r.Intn(2) == 1}
+	}
+	shared := keyPacker{branches: branches}
+	for _, idx := range r.Perm(len(branches)) {
+		c := sym.Le(sym.VarTerm(x), sym.Int(int64(idx)))
+		fresh := keyPacker{branches: branches}
+		if got, want := string(shared.key(idx, c)), string(fresh.key(idx, c)); got != want {
+			t.Fatalf("idx %d: incremental key %q, fresh key %q", idx, got, want)
+		}
+	}
+}
+
+// TestSlicerMatchesFixpoint: the union-find slicer keeps exactly the
+// conjuncts a per-target reachability fixpoint keeps, on random prefixes
+// with pseudo-IDs (negative, as depIDs gives function inputs) mixed in.
+func TestSlicerMatchesFixpoint(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for iter := 0; iter < 200; iter++ {
+		sl := newSlicer()
+		var exprs []sym.Expr
+		var deps [][]int
+		for k := 0; k < 30; k++ {
+			ids := make([]int, r.Intn(3))
+			for i := range ids {
+				ids[i] = r.Intn(12) - 2
+			}
+			// The negated constraint's seeds are variable IDs only.
+			var seeds []int
+			negated := sym.Expr(sym.True)
+			for i := r.Intn(3); i > 0; i-- {
+				v := &sym.Var{ID: r.Intn(10), Name: "v"}
+				seeds = append(seeds, v.ID)
+				negated = sym.AndExpr(negated, sym.Eq(sym.VarTerm(v), sym.Int(int64(k))))
+			}
+			want := fixpointSlice(exprs, deps, seeds, negated)
+			if got := sl.slice(negated); got.Key() != want.Key() {
+				t.Fatalf("iter %d k=%d: slicer %v, fixpoint %v", iter, k, got, want)
+			}
+			e := sym.Eq(sym.VarTerm(&sym.Var{ID: 100 + k, Name: "e"}), sym.Int(int64(k)))
+			exprs, deps = append(exprs, e), append(deps, ids)
+			sl.add(e, ids)
+		}
+	}
+}
+
+// fixpointSlice is the reference slice: grow the set of reached IDs from
+// seeds until no further prefix conjunct shares one.
+func fixpointSlice(exprs []sym.Expr, deps [][]int, seeds []int, negated sym.Expr) sym.Expr {
+	used := make([]bool, len(exprs))
+	reach := map[int]bool{}
+	for _, id := range seeds {
+		reach[id] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, ids := range deps {
+			if used[i] {
+				continue
+			}
+			for _, id := range ids {
+				if reach[id] {
+					used[i], changed = true, true
+					break
+				}
+			}
+			if used[i] {
+				for _, id := range ids {
+					reach[id] = true
+				}
+			}
+		}
+	}
+	var parts []sym.Expr
+	for i, e := range exprs {
+		if used[i] {
+			parts = append(parts, e)
+		}
+	}
+	return sym.AndExpr(append(parts, negated)...)
 }
 
 func TestExhaustedFlag(t *testing.T) {

@@ -263,3 +263,22 @@ func TestTraceDeterministicWithIntrospection(t *testing.T) {
 		}
 	}
 }
+
+// TestProveTotalsPinned pins the prover's work on the lexer search at budget
+// 300. The totals were read from the search before the prover refuted sample
+// bindings without building them; the shortcut charges each refuted binding
+// the node its child goal would have spent, so calls, nodes and proofs must
+// not move.
+func TestProveTotalsPinned(t *testing.T) {
+	o, _ := tracedRun(lexapp.Lexer(), concolic.ModeHigherOrder, search.Options{MaxRuns: 300}, 1)
+	var nodes int64
+	for _, m := range o.Metrics.Snapshot() {
+		if m.Name == "fol.prove.nodes" {
+			nodes = m.Sum
+		}
+	}
+	got := [3]int64{o.Metrics.Get("fol.prove.calls"), nodes, o.Metrics.Get("fol.prove.proved")}
+	if want := [3]int64{2098, 33197, 715}; got != want {
+		t.Fatalf("fol.prove calls, nodes, proved = %v, want %v", got, want)
+	}
+}

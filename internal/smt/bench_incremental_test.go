@@ -64,7 +64,7 @@ func BenchmarkSolveIncrementalOneShot(b *testing.B) {
 
 func BenchmarkSolveIncrementalExact(b *testing.B) {
 	p, vars, bounds, conjs := benchPrefix()
-	ctx := NewContext(ContextOptions{Options: Options{Pool: p, VarBounds: bounds}, MemoSize: 64})
+	ctx := NewContext(ContextOptions{Options: Options{Pool: p, VarBounds: bounds}})
 	ctx.Assert(sym.AndExpr(conjs...))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -28,12 +28,6 @@ type ContextOptions struct {
 	// uninterpreted applications falls back to the exact path until the
 	// offending frame is popped.
 	Retain bool
-
-	// MemoSize, when positive, caps a per-session result memo keyed by the
-	// asserted conjunction: re-checking an identical stack returns the
-	// recorded Status+Model without re-solving. Timeout/Unknown results are
-	// never memoized. The memo only serves checks on the exact path.
-	MemoSize int
 }
 
 // ctxFrame is one push/pop frame of a session.
@@ -51,12 +45,6 @@ type ContextStats struct {
 	Checks          int
 	WarmStartHits   int
 	ClausesRetained int
-	MemoHits        int
-}
-
-type ctxResult struct {
-	st Status
-	m  *Model
 }
 
 // Context is an incremental solver session: a push/pop stack of asserted
@@ -73,7 +61,6 @@ type Context struct {
 	frames []ctxFrame
 	conjs  []sym.Expr
 	ack    *ackState
-	memo   map[string]ctxResult
 
 	// Warm-start state (Retain mode).
 	sat         *SAT
@@ -88,9 +75,6 @@ func NewContext(opts ContextOptions) *Context {
 	c := &Context{opts: opts}
 	if opts.Pool != nil {
 		c.ack = newAckState(opts.Pool)
-	}
-	if opts.MemoSize > 0 {
-		c.memo = make(map[string]ctxResult, opts.MemoSize)
 	}
 	if opts.Retain {
 		c.sat = NewSAT(opts.MaxConflicts)
@@ -200,21 +184,7 @@ func (c *Context) check(opts Options) (Status, *Model) {
 	if c.opts.Retain && c.syncWarm() {
 		return c.checkWarm(opts)
 	}
-	f := sym.AndExpr(c.conjs...)
-	var key string
-	if c.memo != nil {
-		key = f.Key()
-		if r, ok := c.memo[key]; ok {
-			c.stats.MemoHits++
-			opts.Obs.Counter("smt.ctx.memo_hits").Inc()
-			return r.st, copyModel(r.m)
-		}
-	}
-	st, m := solveWith(f, opts, c.ack)
-	if c.memo != nil && st != StatusTimeout && st != StatusUnknown && len(c.memo) < c.opts.MemoSize {
-		c.memo[key] = ctxResult{st: st, m: copyModel(m)}
-	}
-	return st, m
+	return solveWith(sym.AndExpr(c.conjs...), opts, c.ack)
 }
 
 // syncWarm brings the warm solver up to date with the assertion stack,
@@ -337,18 +307,4 @@ func (c *Context) checkWarm(opts Options) (Status, *Model) {
 		}
 	}
 	return StatusUnknown, nil
-}
-
-func copyModel(m *Model) *Model {
-	if m == nil {
-		return nil
-	}
-	cp := &Model{Vars: make(map[int]int64, len(m.Vars)), Funcs: make(map[string]int64, len(m.Funcs))}
-	for k, v := range m.Vars {
-		cp.Vars[k] = v
-	}
-	for k, v := range m.Funcs {
-		cp.Funcs[k] = v
-	}
-	return cp
 }

@@ -166,18 +166,23 @@ func joinBool(xs []Expr, sep string) string {
 	return strings.Join(parts, sep)
 }
 
+// Holds reports whether the constant v satisfies v op 0: the value a
+// comparison whose left-hand side folded to v takes.
+func (op CmpOp) Holds(v int64) bool {
+	switch op {
+	case OpEq:
+		return v == 0
+	case OpNe:
+		return v != 0
+	case OpLe:
+		return v <= 0
+	}
+	return false
+}
+
 func cmp(op CmpOp, s *Sum) Expr {
 	if v, ok := s.IsConst(); ok {
-		var hold bool
-		switch op {
-		case OpEq:
-			hold = v == 0
-		case OpNe:
-			hold = v != 0
-		case OpLe:
-			hold = v <= 0
-		}
-		if hold {
+		if op.Holds(v) {
 			return True
 		}
 		return False

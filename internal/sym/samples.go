@@ -2,7 +2,7 @@ package sym
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 	"sync"
 )
 
@@ -16,19 +16,30 @@ type Sample struct {
 }
 
 func (s Sample) String() string {
-	parts := make([]string, len(s.Args))
-	for i, a := range s.Args {
-		parts[i] = fmt.Sprintf("%d", a)
-	}
-	return fmt.Sprintf("%s(%s)=%d", s.Fn.Name, strings.Join(parts, ","), s.Out)
+	return fmt.Sprintf("%s(%s)=%d", s.Fn.Name, argsKey(s.Args), s.Out)
 }
 
-func argsKey(args []int64) string {
-	parts := make([]string, len(args))
+// argsKey is the store's index key for an argument vector: the decimal
+// arguments joined by commas ("42", "-1,0,7").
+func argsKey(args []int64) string { return string(appendArgsKey(nil, args)) }
+
+// appendArgsKey appends argsKey(args) to dst. Lookups build the key in a stack
+// buffer, so probing the index allocates nothing.
+func appendArgsKey(dst []byte, args []int64) []byte {
 	for i, a := range args {
-		parts[i] = fmt.Sprintf("%d", a)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, a, 10)
 	}
-	return strings.Join(parts, ",")
+	return dst
+}
+
+// fnSamples is one function's samples: insertion order plus an index from
+// argsKey to position in it.
+type fnSamples struct {
+	index map[string]int
+	order []Sample
 }
 
 // SampleStore is the IOF table of Figure 3: concrete input–output samples of
@@ -45,13 +56,13 @@ func argsKey(args []int64) string {
 type SampleStore struct {
 	mu    sync.RWMutex
 	base  *SampleStore // read-through parent; nil for a root store
-	byFn  map[*Func]map[string]Sample
+	byFn  map[*Func]*fnSamples
 	order []Sample // insertion order, for deterministic iteration
 }
 
 // NewSampleStore returns an empty store.
 func NewSampleStore() *SampleStore {
-	return &SampleStore{byFn: make(map[*Func]map[string]Sample)}
+	return &SampleStore{byFn: make(map[*Func]*fnSamples)}
 }
 
 // NewOverlay returns an empty store layered over base: lookups read through
@@ -59,7 +70,7 @@ func NewSampleStore() *SampleStore {
 // dropped, conflicting outputs panic as in Add). The overlay never writes to
 // base; merge it back explicitly with base.Merge(overlay).
 func NewOverlay(base *SampleStore) *SampleStore {
-	return &SampleStore{base: base, byFn: make(map[*Func]map[string]Sample)}
+	return &SampleStore{base: base, byFn: make(map[*Func]*fnSamples)}
 }
 
 // Add records f(args)=out. It returns true if the pair was new. Recording a
@@ -80,34 +91,38 @@ func (s *SampleStore) Add(f *Func, args []int64, out int64) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.byFn[f]
-	if m == nil {
-		m = make(map[string]Sample)
-		s.byFn[f] = m
+	fs := s.byFn[f]
+	if fs == nil {
+		fs = &fnSamples{index: make(map[string]int)}
+		s.byFn[f] = fs
 	}
 	k := argsKey(args)
-	if prev, ok := m[k]; ok {
-		if prev.Out != out {
+	if i, ok := fs.index[k]; ok {
+		if prev := fs.order[i].Out; prev != out {
 			panic(fmt.Sprintf("sym: nondeterministic unknown function %s: %s gave both %d and %d",
-				f.Name, k, prev.Out, out))
+				f.Name, k, prev, out))
 		}
 		return false
 	}
 	cp := make([]int64, len(args))
 	copy(cp, args)
 	smp := Sample{Fn: f, Args: cp, Out: out}
-	m[k] = smp
+	fs.index[k] = len(fs.order)
+	fs.order = append(fs.order, smp)
 	s.order = append(s.order, smp)
 	return true
 }
 
 // Lookup returns the recorded output of f on args.
 func (s *SampleStore) Lookup(f *Func, args []int64) (int64, bool) {
+	var buf [64]byte
+	k := appendArgsKey(buf[:0], args)
 	s.mu.RLock()
-	if m := s.byFn[f]; m != nil {
-		if smp, ok := m[argsKey(args)]; ok {
+	if fs := s.byFn[f]; fs != nil {
+		if i, ok := fs.index[string(k)]; ok {
+			out := fs.order[i].Out
 			s.mu.RUnlock()
-			return smp.Out, true
+			return out, true
 		}
 	}
 	s.mu.RUnlock()
@@ -118,20 +133,26 @@ func (s *SampleStore) Lookup(f *Func, args []int64) (int64, bool) {
 }
 
 // ForFunc returns all samples of f in insertion order (base entries first for
-// an overlay).
+// an overlay). The result may share the store's backing array: callers must
+// not modify it. Later additions never change a returned slice.
 func (s *SampleStore) ForFunc(f *Func) []Sample {
-	var out []Sample
+	var base []Sample
 	if s.base != nil {
-		out = s.base.ForFunc(f)
+		base = s.base.ForFunc(f)
 	}
+	var local []Sample
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, smp := range s.order {
-		if smp.Fn == f {
-			out = append(out, smp)
-		}
+	if fs := s.byFn[f]; fs != nil {
+		local = fs.order[:len(fs.order):len(fs.order)]
 	}
-	return out
+	s.mu.RUnlock()
+	switch {
+	case len(local) == 0:
+		return base
+	case len(base) == 0:
+		return local
+	}
+	return append(append(make([]Sample, 0, len(base)+len(local)), base...), local...)
 }
 
 // All returns every sample in insertion order (base entries first for an

@@ -180,3 +180,53 @@ func TestSampleString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// TestArgsKeyFormat pins the store's argument key: decimal arguments joined
+// by commas, exactly as fmt's %d renders them, negative values and zero
+// included.
+func TestArgsKeyFormat(t *testing.T) {
+	for _, tc := range []struct {
+		args []int64
+		want string
+	}{
+		{nil, ""},
+		{[]int64{0}, "0"},
+		{[]int64{42}, "42"},
+		{[]int64{-1}, "-1"},
+		{[]int64{-7, 0, 7}, "-7,0,7"},
+		{[]int64{1, 23, 456}, "1,23,456"},
+		{[]int64{-9223372036854775808, 9223372036854775807}, "-9223372036854775808,9223372036854775807"},
+	} {
+		if got := argsKey(tc.args); got != tc.want {
+			t.Errorf("argsKey(%v) = %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
+// TestForFuncOverlay: an overlay lists the base's samples of a function
+// before its own, and a returned slice is not disturbed by later additions.
+func TestForFuncOverlay(t *testing.T) {
+	var p Pool
+	h, g := p.FuncSym("h", 1), p.FuncSym("g", 1)
+	base := NewSampleStore()
+	base.Add(h, []int64{1}, 10)
+	base.Add(g, []int64{1}, 5)
+	ov := NewOverlay(base)
+	if got := ov.ForFunc(h); len(got) != 1 || got[0].Out != 10 {
+		t.Fatalf("overlay without local samples: ForFunc(h) = %v", got)
+	}
+	ov.Add(h, []int64{2}, 20)
+	ov.Add(h, []int64{1}, 10) // already in base: dropped
+	got := ov.ForFunc(h)
+	if len(got) != 2 || got[0].Out != 10 || got[1].Out != 20 {
+		t.Fatalf("ForFunc(h) = %v, want h(1)=10 then h(2)=20", got)
+	}
+	held := base.ForFunc(h)
+	base.Add(h, []int64{3}, 30)
+	if len(held) != 1 || held[0].Out != 10 {
+		t.Fatalf("earlier ForFunc result changed to %v", held)
+	}
+	if n := len(base.ForFunc(h)); n != 2 {
+		t.Fatalf("ForFunc(h) after an addition has %d samples, want 2", n)
+	}
+}
