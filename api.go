@@ -14,7 +14,7 @@
 //
 // The package is a facade over the implementation packages:
 //
-//	internal/mini      the mini language (lexer, parser, checker, interpreter)
+//	internal/mini      the mini language (lexer, parser, checker, bytecode VM)
 //	internal/sym       symbolic terms and formulas (LIA + EUF)
 //	internal/smt       a from-scratch SMT solver for QF_UFLIA
 //	internal/fol       POST(pc) construction, validity proofs, strategies
@@ -256,9 +256,11 @@ func DefaultNatives() Natives {
 	return ns
 }
 
-// Run executes the program concretely on the flattened input vector.
+// Run executes the program concretely on the flattened input vector, with
+// every function-valued input left at the default function. It runs the
+// concolic tree walker, so runtime-fault messages carry source positions.
 func Run(p *Program, input []int64) *RunResult {
-	return mini.Run(p, input, mini.RunOptions{})
+	return concolic.New(p, concolic.ModeUnsound).Run(input).Result
 }
 
 // NewEngine creates a concolic engine for the program under the given mode.

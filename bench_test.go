@@ -1,7 +1,7 @@
 // Benchmarks: one per reproduced table/figure (see DESIGN.md §4 and
 // EXPERIMENTS.md), each running the corresponding experiment at a CI-sized
 // budget and reporting its headline metrics, plus micro-benchmarks for the
-// substrates (interpreter, concolic engine, SMT solver, validity prover).
+// substrates (VM, concolic engine, SMT solver, validity prover).
 //
 // Regenerate the full-size tables with:  go run ./cmd/benchtab
 package hotg_test
@@ -88,23 +88,7 @@ func BenchmarkScannerSummaries(b *testing.B) {
 
 // Micro-benchmarks for the substrates.
 
-// BenchmarkMiniInterpLexer measures the reference interpreter on one lexer
-// execution.
-func BenchmarkMiniInterpLexer(b *testing.B) {
-	w := lexapp.Lexer()
-	p := w.Build()
-	in := lexapp.EncodeInput("while 1 do end")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := mini.Run(p, in, mini.RunOptions{})
-		if res.Kind != mini.StopError {
-			b.Fatal("unexpected result")
-		}
-	}
-}
-
-// BenchmarkVMLexer measures the optimized bytecode VM on the same execution
-// as BenchmarkMiniInterpLexer.
+// BenchmarkVMLexer measures the optimized bytecode VM on one lexer execution.
 func BenchmarkVMLexer(b *testing.B) {
 	w := lexapp.Lexer()
 	c := mini.CompileVM(w.Build()).Optimize()

@@ -2,6 +2,7 @@ package concolic
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hotg/internal/mini"
@@ -339,8 +340,8 @@ fn main(x int, y int) {
 
 // TestEngineAgreesWithInterp is the semantic-equivalence property test: on
 // random programs and inputs, the concolic engine's concrete half must agree
-// exactly with the reference interpreter (result kind, return value, error
-// site, and full branch trace), in every mode.
+// exactly with the plain and the optimized VM (result kind, return value,
+// error site, runtime-fault class, and full branch trace), in every mode.
 func TestEngineAgreesWithInterp(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	modes := []Mode{ModeStatic, ModeUnsound, ModeSound, ModeSoundDelayed, ModeHigherOrder}
@@ -354,18 +355,35 @@ func TestEngineAgreesWithInterp(t *testing.T) {
 			t.Fatalf("generated program failed to check: %v\n%s", err, src)
 		}
 		input := []int64{int64(r.Intn(41) - 20), int64(r.Intn(41) - 20), int64(r.Intn(41) - 20)}
-		ref := mini.Run(p, input, mini.RunOptions{})
+		refs := map[string]*mini.Result{
+			"vm":           mini.RunVM(mini.CompileVM(p), input, mini.RunOptions{}),
+			"optimized vm": mini.RunVM(mini.CompileVM(p).Optimize(), input, mini.RunOptions{}),
+		}
 		for _, mode := range modes {
-			e := New(p, mode)
-			ex := e.Run(input)
-			got := ex.Result
-			if got.Kind != ref.Kind || got.Return != ref.Return ||
-				got.ErrorSite != ref.ErrorSite || got.Path() != ref.Path() {
-				t.Fatalf("iter %d mode %v: engine %+v vs interp %+v\ninput %v\n%s",
-					iter, mode, got, ref, input, src)
+			got := New(p, mode).Run(input).Result
+			for name, ref := range refs {
+				if got.Kind != ref.Kind || got.Return != ref.Return || got.ErrorSite != ref.ErrorSite ||
+					faultClass(got.RuntimeMsg) != faultClass(ref.RuntimeMsg) || got.Path() != ref.Path() {
+					t.Fatalf("iter %d mode %v: engine %+v vs %s %+v\ninput %v\n%s",
+						iter, mode, got, name, ref, input, src)
+				}
 			}
 		}
 	}
+}
+
+// faultClass maps a runtime-fault message to its class: the engine's messages
+// carry source positions and the VM's do not.
+func faultClass(msg string) string {
+	for _, c := range []struct{ key, class string }{
+		{"division by zero", "div0"}, {"modulo by zero", "mod0"}, {"out of bounds", "oob"},
+		{"step budget", "steps"}, {"recursion", "recursion"},
+	} {
+		if strings.Contains(msg, c.key) {
+			return c.class
+		}
+	}
+	return msg
 }
 
 // TestTheorem2Soundness checks Theorem 2 (and Theorem 3 for higher-order

@@ -200,6 +200,8 @@ type Engine struct {
 	// safe for concurrent use.
 	CheckCancel func() bool
 
+	// MaxSteps and MaxDepth bound each run; zero means mini.DefaultMaxSteps
+	// and mini.DefaultMaxDepth.
 	MaxSteps int
 	MaxDepth int
 
@@ -232,8 +234,8 @@ func New(prog *mini.Program, mode Mode) *Engine {
 		Mode:     mode,
 		Pool:     &sym.Pool{},
 		Samples:  sym.NewSampleStore(),
-		MaxSteps: 200000,
-		MaxDepth: 256,
+		MaxSteps: mini.DefaultMaxSteps,
+		MaxDepth: mini.DefaultMaxDepth,
 		opFns:    make(map[string]*sym.Func),
 	}
 	e.shape = prog.Shape()

@@ -83,6 +83,9 @@ type runtimeFault struct{ msg string }
 
 func (f runtimeFault) Error() string { return f.msg }
 
+// errStepBudget is the fault of a run that exhausts its step budget.
+var errStepBudget = runtimeFault{"step budget exceeded (possible non-termination)"}
+
 // runCanceled aborts a run when Engine.CheckCancel fires; unlike a
 // runtimeFault it records no bug — the execution is simply marked Canceled.
 type runCanceled struct{}
@@ -107,6 +110,8 @@ type runner struct {
 	res      *mini.Result
 	steps    int
 	depth    int
+	maxSteps int // Engine.MaxSteps, or mini.DefaultMaxSteps when zero
+	maxDepth int // Engine.MaxDepth, or mini.DefaultMaxDepth when zero
 	pinned   map[int]bool
 	inputVal map[int]int64 // input var ID → concrete value this run
 	varByID  map[int]*sym.Var
@@ -137,9 +142,17 @@ func (e *Engine) RunWith(input []int64, funcs []*mini.FuncValue) *Execution {
 	r := &runner{
 		e:        e,
 		res:      &mini.Result{},
+		maxSteps: e.MaxSteps,
+		maxDepth: e.MaxDepth,
 		pinned:   make(map[int]bool),
 		inputVal: make(map[int]int64, len(input)),
 		varByID:  make(map[int]*sym.Var, len(input)),
+	}
+	if r.maxSteps <= 0 {
+		r.maxSteps = mini.DefaultMaxSteps
+	}
+	if r.maxDepth <= 0 {
+		r.maxDepth = mini.DefaultMaxDepth
 	}
 	in := make([]int64, len(input))
 	copy(in, input)
@@ -214,12 +227,8 @@ func (e *Engine) RunWith(input []int64, funcs []*mini.FuncValue) *Execution {
 
 func (r *runner) tick() error {
 	r.steps++
-	max := r.e.MaxSteps
-	if max <= 0 {
-		max = 200000
-	}
-	if r.steps > max {
-		return runtimeFault{"step budget exceeded (possible non-termination)"}
+	if r.steps > r.maxSteps {
+		return errStepBudget
 	}
 	// Cooperative cancellation: poll every 256 steps so even a long run
 	// notices a cancelled search within microseconds, without paying a
@@ -271,11 +280,12 @@ func (r *runner) branchConstraint(cond sval, taken bool, idx int, pos mini.Pos) 
 	if !taken {
 		c = sym.NotExpr(c)
 	}
-	if bc, ok := c.(*sym.Bool); ok {
-		if !bc.V {
-			panic(fmt.Sprintf("concolic: %s: constraint contradicts concrete execution", pos))
-		}
-		return // condition did not depend on inputs (beyond any pins above)
+	if _, ok := c.(*sym.Bool); ok {
+		// The condition did not depend on inputs (beyond any pins above).
+		// It folds to false only when a comparison overflowed int64: the
+		// terms range over unbounded integers, the concrete values wrap,
+		// and the concrete outcome is the one that ran.
+		return
 	}
 	r.ex.PC = append(r.ex.PC, Constraint{Expr: c, EventIndex: idx, Pos: pos})
 }
@@ -763,14 +773,8 @@ func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
 	if r.e.summariesUsable() && r.e.Summaries.summarizable(fd) {
 		return r.evalCallSummary(x, fr)
 	}
-	r.depth++
-	maxDepth := r.e.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 256
-	}
-	if r.depth > maxDepth {
-		r.depth--
-		return 0, sval{}, runtimeFault{fmt.Sprintf("%s: recursion budget exceeded", x.P)}
+	if err := r.enter(x.P); err != nil {
+		return 0, sval{}, err
 	}
 	callee := frame{}
 	for i, prm := range fd.Params {
@@ -787,7 +791,24 @@ func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
 		}
 		callee[prm.Name] = &slot{kind: prm.Type.Kind, i: ci, b: cb, s: sv}
 	}
-	ret, err := r.execBlock(fd.Body, callee)
+	return r.leave(r.execBlock(fd.Body, callee))
+}
+
+// enter charges one user-function call against the recursion budget; every
+// successful enter is paired with a leave.
+func (r *runner) enter(pos mini.Pos) error {
+	r.depth++
+	if r.depth > r.maxDepth {
+		r.depth--
+		return runtimeFault{fmt.Sprintf("%s: recursion budget exceeded", pos)}
+	}
+	return nil
+}
+
+// leave pops the call entered last and turns the callee's exit into its
+// value: falling off the end returns 0 (the checker does not prove that all
+// paths return).
+func (r *runner) leave(ret *retval, err error) (int64, sval, error) {
 	r.depth--
 	if err != nil {
 		return 0, sval{}, err
@@ -840,26 +861,12 @@ func (r *runner) evalCallback(x *mini.Call, fr frame) (int64, sval, error) {
 // callee exits under summaries).
 func (r *runner) evalCallInline(x *mini.Call, argC []int64, argS []sval) (int64, sval, error) {
 	fd := x.Fn
-	r.depth++
-	maxDepth := r.e.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 256
-	}
-	if r.depth > maxDepth {
-		r.depth--
-		return 0, sval{}, runtimeFault{fmt.Sprintf("%s: recursion budget exceeded", x.P)}
+	if err := r.enter(x.P); err != nil {
+		return 0, sval{}, err
 	}
 	callee := frame{}
 	for i, prm := range fd.Params {
 		callee[prm.Name] = &slot{kind: mini.TInt, i: argC[i], s: argS[i]}
 	}
-	ret, err := r.execBlock(fd.Body, callee)
-	r.depth--
-	if err != nil {
-		return 0, sval{}, err
-	}
-	if ret == nil {
-		return 0, intS(sym.Int(0), nil), nil
-	}
-	return ret.i, ret.s, nil
+	return r.leave(r.execBlock(fd.Body, callee))
 }

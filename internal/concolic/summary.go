@@ -18,7 +18,7 @@ import (
 // A summary case memoizes one intraprocedural path of a user-defined
 // function: the path constraints and the return term, both expressed over
 // fresh *formal* variables. At a call site the engine first runs the callee
-// concretely (a cheap probe via mini.RunFunc) to learn which path the call
+// concretely (a cheap probe via mini.RunFuncVM) to learn which path the call
 // takes; on a cache hit the memoized constraints are instantiated by
 // substituting the actual argument terms for the formals — no symbolic
 // re-execution of the callee happens. Because symbolic evaluation is
@@ -245,13 +245,9 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 	}
 
 	// Concrete probe: which intraprocedural path does this call take?
-	maxSteps := r.e.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 200000
-	}
-	remaining := maxSteps - r.steps
+	remaining := r.maxSteps - r.steps
 	if remaining <= 0 {
-		return 0, sval{}, runtimeFault{"step budget exceeded (possible non-termination)"}
+		return 0, sval{}, errStepBudget
 	}
 	var sampleHook func(string, []int64, int64)
 	if r.e.Mode == ModeHigherOrder {
@@ -263,7 +259,7 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 	}
 	probe := mini.RunFuncVM(r.e.compiled(), fd.Name, argC, mini.RunOptions{
 		MaxSteps:     remaining,
-		MaxDepth:     r.e.MaxDepth,
+		MaxDepth:     r.maxDepth,
 		OnNativeCall: sampleHook,
 	})
 	r.steps += probe.Steps
@@ -308,14 +304,8 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 	// Miss: execute the callee symbolically over fresh formal variables,
 	// memoize the (formal-level) summary, then instantiate in place.
 	r.e.Summaries.noteMiss()
-	r.depth++
-	maxDepth := r.e.MaxDepth
-	if maxDepth <= 0 {
-		maxDepth = 256
-	}
-	if r.depth > maxDepth {
-		r.depth--
-		return 0, sval{}, runtimeFault{fmt.Sprintf("%s: recursion budget exceeded", x.P)}
+	if err := r.enter(x.P); err != nil {
+		return 0, sval{}, err
 	}
 	formals := make([]*sym.Var, len(fd.Params))
 	callee := frame{}

@@ -4,8 +4,9 @@
 // single package's unit tests see (DESIGN.md §10):
 //
 //	O1 — replay and differential execution: every input a search executed
-//	     replays concretely along its recorded path, and every reported bug
-//	     reproduces in both the tree-walking interpreter and the bytecode VM.
+//	     replays in the bytecode VM along its recorded path, a replay on the
+//	     concolic tree walker agrees with the plain and the optimized VM, and
+//	     every reported bug reproduces in both the walker and the VM.
 //	O2 — ground truth on finite domains: fol.Prove verdicts for
 //	     POST(pc) = ∃X: A ⇒ pc are cross-checked against exhaustive
 //	     enumeration over all input values and all uninterpreted-function
@@ -35,7 +36,7 @@ import (
 type Finding struct {
 	// Oracle is "O1", "O2", or "O3".
 	Oracle string `json:"oracle"`
-	// Relation names the specific invariant: "replay-path", "interp-vm",
+	// Relation names the specific invariant: "replay-path", "walker-vm",
 	// "bug-reproduce", "enum-proved", "enum-invalid", "strategy-table",
 	// "conjunct-reorder", "sample-superset", "prove-deterministic",
 	// "rename-canonical", "rename-buckets", "workers-canonical",

@@ -73,7 +73,7 @@ func TestFolOracleKnownVerdicts(t *testing.T) {
 }
 
 // TestProgramOracleSeededPass is the deterministic O1/O3 program pass: every
-// technique end-to-end on generated programs, replay and interpreter/VM
+// technique end-to-end on generated programs, replay and walker/VM
 // agreement, and the metamorphic relations (workers, renaming,
 // checkpoint/kill/resume).
 func TestProgramOracleSeededPass(t *testing.T) {
@@ -91,8 +91,8 @@ func TestProgramOracleSeededPass(t *testing.T) {
 
 // TestCallbackReplayProperty is the function-input replay property at scale:
 // over 1000 generated higher-order programs, every run executed under
-// synthesized function values replays — through the interpreter AND the
-// compiled VM — to the exact recorded path and verdict. This is the
+// synthesized function values replays — through the concolic tree walker AND
+// the compiled VM — to the exact recorded path and verdict. This is the
 // soundness half of witness construction: a decision table the search
 // invented is only a test input if it deterministically reproduces the run
 // that reported it.
@@ -115,6 +115,7 @@ func TestCallbackReplayProperty(t *testing.T) {
 			Budget: search.Budget{ProofTimeout: 50 * time.Millisecond, Degrade: true},
 		})
 		compiled := mini.CompileVM(c.Prog)
+		walker := concolic.New(c.Prog, concolic.ModeUnsound)
 		for _, rec := range recs {
 			synthesized := false
 			for _, s := range rec.Funcs {
@@ -130,19 +131,19 @@ func TestCallbackReplayProperty(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d run %d: %v", seed, rec.Run, err)
 			}
-			interp := mini.Run(c.Prog, rec.Input, opts)
-			if interp.Path() != rec.Path {
-				t.Errorf("seed %d run %d: recorded path %q, interpreter replays %q under funcs %v",
-					seed, rec.Run, rec.Path, interp.Path(), rec.Funcs)
+			walked := walker.RunWith(rec.Input, opts.Funcs).Result
+			if walked.Path() != rec.Path {
+				t.Errorf("seed %d run %d: recorded path %q, walker replays %q under funcs %v",
+					seed, rec.Run, rec.Path, walked.Path(), rec.Funcs)
 				continue
 			}
 			vmres := mini.RunVM(compiled, rec.Input, opts)
-			if d := diffResults(interp, vmres); d != "" {
+			if d := diffResults(walked, vmres); d != "" {
 				t.Errorf("seed %d run %d: %s (funcs %v)", seed, rec.Run, d, rec.Funcs)
 			}
 			for _, bug := range rec.Bugs {
-				if d := diffBug(bug, interp); d != "" {
-					t.Errorf("seed %d run %d: interpreter verdict: %s", seed, rec.Run, d)
+				if d := diffBug(bug, walked); d != "" {
+					t.Errorf("seed %d run %d: walker verdict: %s", seed, rec.Run, d)
 				}
 				if d := diffBug(bug, vmres); d != "" {
 					t.Errorf("seed %d run %d: vm verdict: %s", seed, rec.Run, d)
@@ -298,7 +299,7 @@ func TestRegressionCorpusReplays(t *testing.T) {
 }
 
 // TestRenameSourcePreservesBehavior checks the renamer itself: the renamed
-// program runs identically on a few inputs.
+// program, run on the VM, behaves like the original on the tree walker.
 func TestRenameSourcePreservesBehavior(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		c := NewCase(seed)
@@ -308,8 +309,8 @@ func TestRenameSourcePreservesBehavior(t *testing.T) {
 		}
 		prog2 := mini.MustCheck(mini.MustParse(renamed), c.Natives)
 		for _, in := range [][]int64{c.Seeds[0], make([]int64, len(c.Seeds[0]))} {
-			a := mini.Run(c.Prog, in, mini.RunOptions{})
-			b := mini.Run(prog2, in, mini.RunOptions{})
+			a := concolic.New(c.Prog, concolic.ModeUnsound).Run(in).Result
+			b := mini.RunVM(mini.CompileVM(prog2), in, mini.RunOptions{})
 			if d := diffResults(a, b); d != "" {
 				t.Errorf("seed %d input %v: %s", seed, in, d)
 			}

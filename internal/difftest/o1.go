@@ -74,14 +74,18 @@ func (c *Case) runRandom(cfg Config) *search.Stats {
 }
 
 // CheckO1 runs every technique end-to-end and checks the replay and
-// differential-execution invariants: each recorded input replays along its
-// recorded path in the interpreter, interpreter and VM agree on every
-// executed input, and every reported bug reproduces in both.
+// differential-execution invariants between two independent evaluators, the
+// concolic tree walker and the VM: each recorded input replays along its
+// recorded path in the VM, a tree-walker replay agrees with the plain and the
+// optimized VM on every executed input, and every reported bug reproduces in
+// the walker and the VM.
 func CheckO1(c *Case, cfg Config) []Finding {
 	cfg = cfg.defaults()
 	var findings []Finding
 	compiled := mini.CompileVM(c.Prog)
 	optimized := mini.CompileVM(c.Prog).Optimize()
+	// ModeUnsound records no samples, so one engine serves every replay.
+	walker := concolic.New(c.Prog, concolic.ModeUnsound)
 
 	report := func(relation, detail string, input []int64) {
 		findings = append(findings, Finding{
@@ -108,19 +112,19 @@ func CheckO1(c *Case, cfg Config) []Finding {
 				report("replay-funcs", fmt.Sprintf("%s run %d: %v", tech, rec.Run, err), rec.Input)
 				continue
 			}
-			interp := mini.Run(c.Prog, rec.Input, opts)
-			if interp.Path() != rec.Path {
-				report("replay-path", fmt.Sprintf("%s run %d: recorded path %q, interpreter replays %q",
-					tech, rec.Run, rec.Path, interp.Path()), rec.Input)
+			vmres := mini.RunVM(compiled, rec.Input, opts)
+			if vmres.Path() != rec.Path {
+				report("replay-path", fmt.Sprintf("%s run %d: recorded path %q, vm replays %q",
+					tech, rec.Run, rec.Path, vmres.Path()), rec.Input)
 				continue
 			}
-			vmres := mini.RunVM(compiled, rec.Input, opts)
-			if d := diffResults(interp, vmres); d != "" {
-				report("interp-vm", fmt.Sprintf("%s run %d: %s", tech, rec.Run, d), rec.Input)
+			walked := walker.RunWith(rec.Input, opts.Funcs).Result
+			if d := diffResults(walked, vmres); d != "" {
+				report("walker-vm", fmt.Sprintf("%s run %d: %s", tech, rec.Run, d), rec.Input)
 			}
 			optres := mini.RunVM(optimized, rec.Input, opts)
-			if d := diffResults(interp, optres); d != "" {
-				report("interp-vm", fmt.Sprintf("%s run %d (optimized): %s", tech, rec.Run, d), rec.Input)
+			if d := diffResults(walked, optres); d != "" {
+				report("walker-vm", fmt.Sprintf("%s run %d (optimized): %s", tech, rec.Run, d), rec.Input)
 			}
 		}
 
@@ -130,9 +134,9 @@ func CheckO1(c *Case, cfg Config) []Finding {
 				report("replay-funcs", fmt.Sprintf("%s bug: %v", tech, err), bug.Input)
 				continue
 			}
-			interp := mini.Run(c.Prog, bug.Input, opts)
-			if d := diffBug(bug, interp); d != "" {
-				report("bug-reproduce", fmt.Sprintf("%s: interpreter: %s", tech, d), bug.Input)
+			walked := walker.RunWith(bug.Input, opts.Funcs).Result
+			if d := diffBug(bug, walked); d != "" {
+				report("bug-reproduce", fmt.Sprintf("%s: walker: %s", tech, d), bug.Input)
 			}
 			vmres := mini.RunVM(compiled, bug.Input, opts)
 			if d := diffBug(bug, vmres); d != "" {
@@ -165,7 +169,7 @@ func replayOpts(texts []string) (mini.RunOptions, error) {
 }
 
 // faultCategory normalizes a runtime-fault message to its class, since the
-// interpreter reports source positions and the VM does not.
+// tree walker reports source positions and the VM does not.
 func faultCategory(msg string) string {
 	switch {
 	case strings.Contains(msg, "division by zero"):
@@ -183,38 +187,38 @@ func faultCategory(msg string) string {
 }
 
 // budgetLimited reports a result cut short by a step or recursion budget;
-// the interpreter and VM count steps differently, so such runs are excluded
-// from strict comparison.
+// the tree walker and the VM count steps differently, so such runs are
+// excluded from strict comparison.
 func budgetLimited(r *mini.Result) bool {
 	return r.Kind == mini.StopRuntime &&
 		(faultCategory(r.RuntimeMsg) == "steps" || faultCategory(r.RuntimeMsg) == "depth")
 }
 
-// diffResults compares an interpreter and a VM result for observable
+// diffResults compares a tree-walker and a VM result for observable
 // equivalence, returning "" on agreement.
-func diffResults(interp, vm *mini.Result) string {
-	if budgetLimited(interp) || budgetLimited(vm) {
+func diffResults(walked, vm *mini.Result) string {
+	if budgetLimited(walked) || budgetLimited(vm) {
 		return ""
 	}
-	if interp.Kind != vm.Kind {
-		return fmt.Sprintf("interp stopped with %v, vm with %v", interp.Kind, vm.Kind)
+	if walked.Kind != vm.Kind {
+		return fmt.Sprintf("walker stopped with %v, vm with %v", walked.Kind, vm.Kind)
 	}
-	if interp.Path() != vm.Path() {
-		return fmt.Sprintf("interp path %q, vm path %q", interp.Path(), vm.Path())
+	if walked.Path() != vm.Path() {
+		return fmt.Sprintf("walker path %q, vm path %q", walked.Path(), vm.Path())
 	}
-	switch interp.Kind {
+	switch walked.Kind {
 	case mini.StopReturn:
-		if interp.Return != vm.Return {
-			return fmt.Sprintf("interp returned %d, vm returned %d", interp.Return, vm.Return)
+		if walked.Return != vm.Return {
+			return fmt.Sprintf("walker returned %d, vm returned %d", walked.Return, vm.Return)
 		}
 	case mini.StopError:
-		if interp.ErrorSite != vm.ErrorSite || interp.ErrorMsg != vm.ErrorMsg {
-			return fmt.Sprintf("interp error site %d %q, vm site %d %q",
-				interp.ErrorSite, interp.ErrorMsg, vm.ErrorSite, vm.ErrorMsg)
+		if walked.ErrorSite != vm.ErrorSite || walked.ErrorMsg != vm.ErrorMsg {
+			return fmt.Sprintf("walker error site %d %q, vm site %d %q",
+				walked.ErrorSite, walked.ErrorMsg, vm.ErrorSite, vm.ErrorMsg)
 		}
 	case mini.StopRuntime:
-		if faultCategory(interp.RuntimeMsg) != faultCategory(vm.RuntimeMsg) {
-			return fmt.Sprintf("interp fault %q, vm fault %q", interp.RuntimeMsg, vm.RuntimeMsg)
+		if faultCategory(walked.RuntimeMsg) != faultCategory(vm.RuntimeMsg) {
+			return fmt.Sprintf("walker fault %q, vm fault %q", walked.RuntimeMsg, vm.RuntimeMsg)
 		}
 	}
 	return ""

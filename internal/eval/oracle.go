@@ -47,7 +47,7 @@ func A6OracleCampaign(cfg Config) *Table {
 		progFindings += len(difftest.CheckCase(difftest.NewCase(seed), dcfg))
 	}
 	t.addRow("O1+O3 programs", fmt.Sprintf("%d", progSeeds), fmt.Sprintf("%d", progFindings),
-		"replay, interp/VM agreement, metamorphic relations")
+		"replay, walker/VM agreement, metamorphic relations")
 	t.claim(progFindings == 0, "all techniques agree with concrete execution on %d seeded programs", progSeeds)
 
 	// Phase 3: fault drill — the injected silent VM defect (floored modulo)

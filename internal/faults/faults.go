@@ -38,11 +38,11 @@ type Plan struct {
 	// executor must recover, drop the item, and keep going.
 	ExecPanic bool
 	// VMWrongMod makes mini.RunVM compute floored (Python-style) modulo
-	// instead of Go's truncated modulo, so results differ from the
-	// interpreter exactly when the dividend is negative and the remainder is
+	// instead of Go's truncated modulo, so results differ from the concolic
+	// tree walker exactly when the dividend is negative and the remainder is
 	// nonzero. Unlike the crash faults above, this is a *silent semantic*
 	// defect: nothing panics and no Stats field flags it — only a
-	// differential oracle comparing the VM against the interpreter
+	// differential oracle comparing the VM against the tree walker
 	// (internal/difftest, DESIGN.md §10) can catch it. One credit is
 	// consumed per RunVM call, not per instruction.
 	VMWrongMod bool

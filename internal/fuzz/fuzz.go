@@ -38,7 +38,7 @@ func Run(prog *mini.Program, opts Options) *search.Stats {
 	shape := prog.Shape()
 	stats := search.NewFuzzStats(prog.NumBranches)
 	// Pure concrete execution: run on the optimized bytecode VM (identical
-	// observable behavior to the interpreter, property-tested in
+	// observable behavior to the concolic tree walker, property-tested in
 	// internal/mini).
 	compiled := mini.CompileVM(prog).Optimize()
 

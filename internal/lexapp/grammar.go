@@ -135,6 +135,6 @@ func ValidateOnLexer(tokenInput []int64, wantMsg string) bool {
 	if !ok {
 		return false
 	}
-	res := mini.Run(Lexer().Build(), EncodeInput(s), mini.RunOptions{})
+	res := mini.RunVM(mini.CompileVM(Lexer().Build()), EncodeInput(s), mini.RunOptions{})
 	return res.Kind == mini.StopError && res.ErrorMsg == wantMsg
 }

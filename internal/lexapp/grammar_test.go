@@ -16,7 +16,7 @@ func TestTokenParserBuilds(t *testing.T) {
 	if len(w.Seeds[0]) != MaxTokens+1 {
 		t.Fatalf("seed = %v", w.Seeds[0])
 	}
-	res := mini.Run(p, w.Seeds[0], mini.RunOptions{})
+	res := runVM(p, w.Seeds[0])
 	if res.Kind != mini.StopReturn {
 		t.Fatalf("seed run: %+v", res)
 	}
@@ -44,13 +44,13 @@ func TestTokenParserReachesBugs(t *testing.T) {
 		{mk(TokKwLet, TokIdent, TokNum), "parse-let-binding"},
 	}
 	for _, c := range cases {
-		res := mini.Run(p, c.in, mini.RunOptions{})
+		res := runVM(p, c.in)
 		if res.Kind != mini.StopError || res.ErrorMsg != c.want {
 			t.Fatalf("tokens %v: got %v %q, want %q", c.in, res.Kind, res.ErrorMsg, c.want)
 		}
 	}
 	// A benign sequence parses cleanly.
-	res := mini.Run(p, mk(TokKwDo, TokNum), mini.RunOptions{})
+	res := runVM(p, mk(TokKwDo, TokNum))
 	if res.Kind != mini.StopReturn {
 		t.Fatalf("benign: %+v", res)
 	}

@@ -9,6 +9,11 @@ import (
 	"hotg/internal/search"
 )
 
+// runVM executes p concretely on the VM.
+func runVM(p *mini.Program, input []int64) *mini.Result {
+	return mini.RunVM(mini.CompileVM(p), input, mini.RunOptions{})
+}
+
 func TestAllWorkloadsBuild(t *testing.T) {
 	for _, w := range All() {
 		p := w.Build()
@@ -20,7 +25,7 @@ func TestAllWorkloadsBuild(t *testing.T) {
 			if len(seed) != len(sh.Names) {
 				t.Fatalf("%s: seed length %d, shape %d", w.Name, len(seed), len(sh.Names))
 			}
-			res := mini.Run(p, seed, mini.RunOptions{})
+			res := runVM(p, seed)
 			if res.Kind == mini.StopRuntime {
 				t.Fatalf("%s: seed faults: %s", w.Name, res.RuntimeMsg)
 			}
@@ -93,7 +98,7 @@ func TestLexerConcreteSemantics(t *testing.T) {
 		{"verylongchunkxx", ""}, // chunk longer than ChunkLen splits
 	}
 	for _, c := range cases {
-		res := mini.Run(p, EncodeInput(c.input), mini.RunOptions{})
+		res := runVM(p, EncodeInput(c.input))
 		if c.want == "" {
 			if res.Kind != mini.StopReturn {
 				t.Fatalf("%q: got %v %q, want clean return", c.input, res.Kind, res.ErrorMsg)
@@ -111,7 +116,7 @@ func TestLexerConcreteSemantics(t *testing.T) {
 func TestWellFormedSeedsAreBenign(t *testing.T) {
 	p := LexerHardcoded().Build()
 	for _, seed := range WellFormedSeeds() {
-		res := mini.Run(p, seed, mini.RunOptions{})
+		res := runVM(p, seed)
 		if res.Kind != mini.StopReturn {
 			t.Fatalf("seed %q is not benign: %v %q", DecodeInput(seed), res.Kind, res.ErrorMsg)
 		}
@@ -238,7 +243,7 @@ func TestHashStrRange(t *testing.T) {
 func TestPacketEncodeAndParse(t *testing.T) {
 	p := Packet().Build()
 	// A well-formed benign packet parses cleanly.
-	res := mini.Run(p, EncodePacket(PktControl, "x"), mini.RunOptions{})
+	res := runVM(p, EncodePacket(PktControl, "x"))
 	if res.Kind != mini.StopReturn {
 		t.Fatalf("benign packet: %v %s", res.Kind, res.ErrorMsg)
 	}
@@ -252,7 +257,7 @@ func TestPacketEncodeAndParse(t *testing.T) {
 		{EncodePacket(PktEcho, "hi"), "echo-magic"},
 	}
 	for _, c := range cases {
-		res := mini.Run(p, c.pkt, mini.RunOptions{})
+		res := runVM(p, c.pkt)
 		if res.Kind != mini.StopError || res.ErrorMsg != c.want {
 			t.Fatalf("packet %v: got %v %q, want %q", c.pkt, res.Kind, res.ErrorMsg, c.want)
 		}
@@ -260,14 +265,14 @@ func TestPacketEncodeAndParse(t *testing.T) {
 	// A corrupted checksum is rejected before dispatch.
 	bad := EncodePacket(PktControl, "R")
 	bad[PacketLen-1] = (bad[PacketLen-1] + 1) % 256
-	res = mini.Run(p, bad, mini.RunOptions{})
+	res = runVM(p, bad)
 	if res.Kind != mini.StopReturn {
 		t.Fatalf("corrupted packet should be rejected: %v %s", res.Kind, res.ErrorMsg)
 	}
 	// Wrong version and oversized length are rejected.
 	v := EncodePacket(PktData, "a")
 	v[0] = 1
-	if res := mini.Run(p, v, mini.RunOptions{}); res.Kind != mini.StopReturn {
+	if res := runVM(p, v); res.Kind != mini.StopReturn {
 		t.Fatalf("wrong version: %v", res.Kind)
 	}
 }

@@ -3,10 +3,10 @@ package mini
 import "fmt"
 
 // Bytecode compiler: lowers a checked program to a compact stack-machine
-// form (vm.go). The VM produces results identical to the tree-walking
-// interpreter — same stop kind, return value, error site, and branch trace —
+// form (vm.go). The VM produces results identical to the concolic engine's
+// tree walker — same stop kind, return value, error site, and branch trace —
 // which the property tests assert on random programs; only step counts
-// differ (the VM counts instructions, the interpreter counts AST visits).
+// differ (the VM counts instructions, the walker counts AST visits).
 // Concrete-execution-heavy components (the blackbox fuzzing baseline) run on
 // the VM.
 
@@ -232,7 +232,7 @@ func (f *fnCompiler) stmt(s Stmt) {
 		f.expr(st.Val)
 		f.emit(Instr{Op: OpStore, A: int64(f.lookup(st.Name).slot)})
 	case *IndexAssign:
-		// Evaluation order matches the interpreter: index, then value.
+		// Evaluation order matches the tree walker: index, then value.
 		f.expr(st.Idx)
 		f.expr(st.Val)
 		f.emit(Instr{Op: OpAStore, A: int64(f.lookup(st.Name).slot)})

@@ -60,24 +60,6 @@ func TestFormatRoundTripRandom(t *testing.T) {
 	}
 }
 
-// TestFormattedSemantics: the formatted program behaves identically.
-func TestFormattedSemantics(t *testing.T) {
-	ns := Natives{}
-	ns.Register("hash", 1, func(a []int64) int64 { return a[0]*7%13 + 1 })
-	r := rand.New(rand.NewSource(59))
-	for iter := 0; iter < 40; iter++ {
-		src := GenProgram(r, GenConfig{Natives: []string{"hash"}})
-		p1 := MustCheck(MustParse(src), ns)
-		p2 := MustCheck(MustParse(Format(MustParse(src))), ns)
-		in := []int64{int64(r.Intn(21) - 10), int64(r.Intn(21) - 10), int64(r.Intn(21) - 10)}
-		r1 := Run(p1, in, RunOptions{})
-		r2 := Run(p2, in, RunOptions{})
-		if r1.Kind != r2.Kind || r1.Return != r2.Return || r1.Path() != r2.Path() {
-			t.Fatalf("iter %d: semantics changed by formatting\n%+v\n%+v", iter, r1, r2)
-		}
-	}
-}
-
 func TestEqualASTDetectsDifferences(t *testing.T) {
 	a := MustParse(`fn main(x int) { if (x > 0) { error("a"); } }`)
 	cases := []string{

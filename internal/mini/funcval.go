@@ -17,8 +17,9 @@ type FuncRow struct {
 // FuncValue is a concrete function input: a finite decision table plus a
 // default clause. It is the canonical function representation of higher-order
 // test generation — every synthesized callback is "the observed and solved
-// samples, and Default everywhere else" — and is what the interpreter and VM
-// apply when the program calls through a function-typed parameter.
+// samples, and Default everywhere else" — and is what the VM and the
+// concolic tree walker apply when the program calls through a function-typed
+// parameter.
 //
 // A nil *FuncValue behaves as the empty table with default 0 (the function
 // every search seed and every concretizing baseline runs under).

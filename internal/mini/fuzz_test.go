@@ -4,48 +4,6 @@ import (
 	"testing"
 )
 
-// FuzzParser: arbitrary input must never panic the lexer/parser/checker, and
-// anything that parses must survive the format/parse round trip.
-func FuzzParser(f *testing.F) {
-	f.Add(`fn main(x int) { if (x > 0) { error("p"); } }`)
-	f.Add(`fn f(a [3]int) int { return a[0]; } fn main(y int) int { var a [3]; a[0] = y; return f(a); }`)
-	f.Add(`fn main() { while (true) { } }`)
-	f.Add("fn main(\x00")
-	f.Add(`fn main() { var x = "unterminated`)
-	f.Add(`fn main() { var x = 9223372036854775807 + 1; }`)
-	ns := Natives{}
-	ns.Register("hash", 1, func(a []int64) int64 { return a[0] })
-	f.Fuzz(func(t *testing.T, src string) {
-		p, err := Parse(src)
-		if err != nil {
-			return
-		}
-		text := Format(p)
-		p2, err := Parse(text)
-		if err != nil {
-			t.Fatalf("formatted output failed to parse: %v\n%s", err, text)
-		}
-		if !EqualAST(p, p2) {
-			t.Fatalf("round trip changed AST:\n%s", text)
-		}
-		// If it also checks, it must compile and run without panicking.
-		if err := Check(p, ns); err != nil {
-			return
-		}
-		sh := p.Shape()
-		input := make([]int64, len(sh.Names))
-		res := Run(p, input, RunOptions{MaxSteps: 20000, MaxDepth: 64})
-		resVM := RunVM(CompileVM(p), input, RunOptions{MaxSteps: 20000, MaxDepth: 64})
-		// Budget faults may trigger at different instruction counts; all
-		// other outcomes must agree.
-		if res.Kind != StopRuntime && resVM.Kind != StopRuntime {
-			if res.Kind != resVM.Kind || res.Return != resVM.Return || res.Path() != resVM.Path() {
-				t.Fatalf("interp/vm disagree on %q: %+v vs %+v", src, res, resVM)
-			}
-		}
-	})
-}
-
 // FuzzFunctionValueRoundTrip: any string ParseFuncValue accepts renders back
 // to an identical string (parse∘format is the identity on canonical text),
 // and the resulting table is well-formed: rows sorted, no duplicate argument

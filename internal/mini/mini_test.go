@@ -171,186 +171,6 @@ func TestShape(t *testing.T) {
 	}
 }
 
-func TestRunArithmetic(t *testing.T) {
-	p := mustProg(t, `
-fn main(x int, y int) int {
-	var s = x + y * 2 - 3;
-	var q = x / y;
-	var r = x % y;
-	return s * 10 + q * 100 + r;
-}`)
-	res := Run(p, []int64{7, 2}, RunOptions{})
-	if res.Kind != StopReturn {
-		t.Fatalf("kind = %v (%s)", res.Kind, res.RuntimeMsg)
-	}
-	want := int64((7+2*2-3)*10 + (7/2)*100 + 7%2)
-	if res.Return != want {
-		t.Fatalf("return = %d, want %d", res.Return, want)
-	}
-}
-
-func TestRunBranchTrace(t *testing.T) {
-	p := mustProg(t, `
-fn main(x int) {
-	if (x > 0) { x = 1; }
-	if (x == 1) { x = 2; }
-}`)
-	res := Run(p, []int64{5}, RunOptions{})
-	if res.Path() != "11" {
-		t.Fatalf("path = %q", res.Path())
-	}
-	res = Run(p, []int64{-1}, RunOptions{})
-	if res.Path() != "00" {
-		t.Fatalf("path = %q", res.Path())
-	}
-}
-
-func TestRunWhileAndArrays(t *testing.T) {
-	p := mustProg(t, `
-fn main(n int) int {
-	var a [10];
-	var i = 0;
-	while (i < n) {
-		a[i] = i * i;
-		i = i + 1;
-	}
-	var s = 0;
-	i = 0;
-	while (i < n) {
-		s = s + a[i];
-		i = i + 1;
-	}
-	return s;
-}`)
-	res := Run(p, []int64{5}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 0+1+4+9+16 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRunErrorSite(t *testing.T) {
-	p := mustProg(t, `
-fn main(x int) {
-	if (x == hash(7)) { error("gotcha"); }
-}`)
-	h := stdNatives()["hash"].Fn([]int64{7})
-	res := Run(p, []int64{h}, RunOptions{})
-	if res.Kind != StopError || res.ErrorMsg != "gotcha" || res.ErrorSite != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-	res = Run(p, []int64{h + 1}, RunOptions{})
-	if res.Kind != StopReturn {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRunRuntimeFaults(t *testing.T) {
-	cases := []struct {
-		src   string
-		input []int64
-		want  string
-	}{
-		{`fn main(x int) int { return 1 / x; }`, []int64{0}, "division by zero"},
-		{`fn main(x int) int { return 1 % x; }`, []int64{0}, "modulo by zero"},
-		{`fn main(x int) int { var a [3]; return a[x]; }`, []int64{5}, "out of bounds"},
-		{`fn main(x int) { var a [3]; a[x] = 1; }`, []int64{-1}, "out of bounds"},
-		{`fn main(x int) { while (x == x) { } }`, []int64{1}, "step budget"},
-	}
-	for _, c := range cases {
-		p := mustProg(t, c.src)
-		res := Run(p, c.input, RunOptions{MaxSteps: 10000})
-		if res.Kind != StopRuntime || !strings.Contains(res.RuntimeMsg, c.want) {
-			t.Fatalf("src %q: res = %+v", c.src, res)
-		}
-	}
-}
-
-func TestRunRecursion(t *testing.T) {
-	p := mustProg(t, `
-fn fib(n int) int {
-	if (n < 2) { return n; }
-	return fib(n - 1) + fib(n - 2);
-}
-fn main(n int) int { return fib(n); }`)
-	res := Run(p, []int64{10}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 55 {
-		t.Fatalf("fib(10) = %+v", res)
-	}
-	p = mustProg(t, `
-fn loop(n int) int { return loop(n); }
-fn main(n int) int { return loop(n); }`)
-	res = Run(p, []int64{1}, RunOptions{MaxDepth: 32})
-	if res.Kind != StopRuntime || !strings.Contains(res.RuntimeMsg, "recursion") {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRunArrayByReference(t *testing.T) {
-	p := mustProg(t, `
-fn fill(a [4]int, v int) {
-	var i = 0;
-	while (i < 4) { a[i] = v; i = i + 1; }
-}
-fn main(v int) int {
-	var a [4];
-	fill(a, v);
-	return a[0] + a[3];
-}`)
-	res := Run(p, []int64{21}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 42 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRunShortCircuit(t *testing.T) {
-	p := mustProg(t, `
-fn main(i int) int {
-	var a [3];
-	a[0] = 7;
-	// Without short-circuit &&, i==5 would fault on a[i].
-	if (i < 3 && a[i] > 0) { return 1; }
-	if (i >= 3 || a[i] == 0) { return 2; }
-	return 3;
-}`)
-	res := Run(p, []int64{5}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 2 {
-		t.Fatalf("res = %+v", res)
-	}
-	res = Run(p, []int64{0}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 1 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
-func TestRunNativeObserver(t *testing.T) {
-	p := mustProg(t, `fn main(x int) int { return hash(x) + hash(3); }`)
-	var calls []string
-	res := Run(p, []int64{2}, RunOptions{
-		OnNativeCall: func(name string, args []int64, result int64) {
-			calls = append(calls, name)
-			if len(args) != 1 {
-				t.Fatalf("args = %v", args)
-			}
-		},
-	})
-	if res.Kind != StopReturn {
-		t.Fatalf("res = %+v", res)
-	}
-	if len(calls) != 2 {
-		t.Fatalf("calls = %v", calls)
-	}
-}
-
-func TestRunFallOffEndReturnsZero(t *testing.T) {
-	p := mustProg(t, `
-fn f(x int) int { if (x > 0) { return 1; } }
-fn main(x int) int { return f(x); }`)
-	res := Run(p, []int64{-1}, RunOptions{})
-	if res.Kind != StopReturn || res.Return != 0 {
-		t.Fatalf("res = %+v", res)
-	}
-}
-
 func TestFormatExpr(t *testing.T) {
 	p := mustProg(t, `fn main(x int) { if (x + 1 == hash(x) * 2) { error("e"); } }`)
 	ifStmt := p.Main().Body.Stmts[0].(*If)

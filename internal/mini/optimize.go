@@ -3,9 +3,9 @@ package mini
 // Bytecode optimizer: a peephole pass (constant folding into PUSH chains),
 // jump threading, and dead-NOP compaction. Branch instructions are *never*
 // folded away even on constant conditions, because every BrF/And/Or records
-// an observable branch event that the reference interpreter also records;
+// an observable branch event that the concolic tree walker also records;
 // the optimized code must stay trace-equivalent (property-tested against
-// both the raw VM and the interpreter).
+// the tree walker).
 
 // OpNop is a placeholder emitted by the optimizer and removed by compaction.
 const OpNop Opcode = 255

@@ -1,9 +1,11 @@
-package mini
+package mini_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"hotg/internal/mini"
 )
 
 func TestOptimizeFoldsConstants(t *testing.T) {
@@ -18,8 +20,8 @@ func TestOptimizeFoldsConstants(t *testing.T) {
 	if !strings.Contains(c.Disasm("main"), "push     20") {
 		t.Fatalf("folded constant missing:\n%s", c.Disasm("main"))
 	}
-	rv := RunVM(c, []int64{1}, RunOptions{})
-	if rv.Kind != StopReturn || rv.Return != 21 {
+	rv := mini.RunVM(c, []int64{1}, mini.RunOptions{})
+	if rv.Kind != mini.StopReturn || rv.Return != 21 {
 		t.Fatalf("rv = %+v", rv)
 	}
 }
@@ -28,15 +30,15 @@ func TestOptimizeKeepsRuntimeFaults(t *testing.T) {
 	// 1/0 is a constant expression but must still fault at run time.
 	_, c := vmProg(t, `fn main() int { return 1 / 0; }`)
 	c.Optimize()
-	rv := RunVM(c, nil, RunOptions{})
-	if rv.Kind != StopRuntime {
+	rv := mini.RunVM(c, nil, mini.RunOptions{})
+	if rv.Kind != mini.StopRuntime {
 		t.Fatalf("constant division by zero must fault: %+v", rv)
 	}
 }
 
 func TestOptimizeKeepsBranchEvents(t *testing.T) {
 	// Constant conditions still record events (trace equivalence with the
-	// interpreter).
+	// tree walker).
 	p, c := vmProg(t, `
 fn main(x int) {
 	if (1 < 2) {
@@ -46,11 +48,11 @@ fn main(x int) {
 }`)
 	c.Optimize()
 	for _, in := range [][]int64{{0}, {3}, {9}} {
-		ri := Run(p, in, RunOptions{})
-		rv := RunVM(c, in, RunOptions{})
-		if !sameResult(ri, rv) {
-			t.Fatalf("input %v: interp %+v (%s) vs optimized vm %+v (%s)",
-				in, ri, ri.Path(), rv, rv.Path())
+		rw := walk(p, in, mini.RunOptions{})
+		rv := mini.RunVM(c, in, mini.RunOptions{})
+		if !sameResult(rw, rv) {
+			t.Fatalf("input %v: walker %+v (%s) vs optimized vm %+v (%s)",
+				in, rw, rw.Path(), rv, rv.Path())
 		}
 	}
 }
@@ -70,24 +72,24 @@ fn main(x int) int {
 }`)
 	c.Optimize()
 	for _, in := range [][]int64{{20}, {5}, {0}, {-5}, {-20}} {
-		ri := Run(p, in, RunOptions{})
-		rv := RunVM(c, in, RunOptions{})
-		if !sameResult(ri, rv) {
-			t.Fatalf("input %v: %+v vs %+v", in, ri, rv)
+		rw := walk(p, in, mini.RunOptions{})
+		rv := mini.RunVM(c, in, mini.RunOptions{})
+		if !sameResult(rw, rv) {
+			t.Fatalf("input %v: %+v vs %+v", in, rw, rv)
 		}
 	}
 }
 
 // TestOptimizeEquivalenceProperty: optimized bytecode is observationally
-// identical to the interpreter on random programs.
+// identical to the concolic tree walker on random programs.
 func TestOptimizeEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(79))
 	ns := vmNatives()
 	shrunk := 0
 	for iter := 0; iter < 150; iter++ {
-		src := GenProgram(r, GenConfig{Natives: []string{"hash"}, NumHelpers: 1})
-		p := MustCheck(MustParse(src), ns)
-		c := CompileVM(p)
+		src := mini.GenProgram(r, mini.GenConfig{Natives: []string{"hash"}, NumHelpers: 1})
+		p := mini.MustCheck(mini.MustParse(src), ns)
+		c := mini.CompileVM(p)
 		before := c.InstrCount()
 		c.Optimize()
 		if c.InstrCount() < before {
@@ -95,10 +97,10 @@ func TestOptimizeEquivalenceProperty(t *testing.T) {
 		}
 		for rep := 0; rep < 3; rep++ {
 			in := []int64{int64(r.Intn(41) - 20), int64(r.Intn(41) - 20), int64(r.Intn(41) - 20)}
-			ri := Run(p, in, RunOptions{})
-			rv := RunVM(c, in, RunOptions{})
-			if !sameResult(ri, rv) {
-				t.Fatalf("iter %d input %v:\ninterp %+v\nopt-vm %+v\n%s", iter, in, ri, rv, src)
+			rw := walk(p, in, mini.RunOptions{})
+			rv := mini.RunVM(c, in, mini.RunOptions{})
+			if !sameResult(rw, rv) {
+				t.Fatalf("iter %d input %v:\nwalker %+v\nopt-vm %+v\n%s", iter, in, rw, rv, src)
 			}
 		}
 	}

@@ -49,7 +49,7 @@ func (c *GenConfig) defaults() {
 // programs exercise linear arithmetic, nonlinear products, division and
 // modulo by constants, native calls, loops with bounded trip counts, nested
 // conditionals with &&/||, and error sites. They are used by property tests
-// (interpreter/engine semantic agreement; Theorems 2–4) and by the ablation
+// (VM/engine semantic agreement; Theorems 2–4) and by the ablation
 // benchmarks.
 func GenProgram(r *rand.Rand, cfg GenConfig) string {
 	cfg.defaults()

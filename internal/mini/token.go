@@ -1,12 +1,14 @@
 // Package mini implements the small imperative language in which all
 // programs under test are written: a lexer, recursive-descent parser, static
-// checker, and concrete interpreter.
+// checker, and a bytecode compiler and VM for concrete execution. The
+// language's one tree-walking evaluator is the concolic engine's
+// (internal/concolic), which the VM is property-tested against.
 //
 // The language is deliberately close to the command language of the paper
 // (assignments, conditionals, loops, calls) plus fixed-length integer arrays
 // so that byte-string inputs — as needed by the Section 7 lexer application —
 // can be modeled. "Unknown functions" (hash, crypto, CRC, OS calls...) are
-// native Go callbacks registered with the interpreter; their code is opaque
+// native Go callbacks registered with the program; their code is opaque
 // to symbolic execution, exactly like library calls in the paper.
 //
 // Example program:

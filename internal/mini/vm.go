@@ -6,8 +6,9 @@ import (
 	"hotg/internal/faults"
 )
 
-// VM executes compiled bytecode. Results are identical to the tree-walking
-// interpreter except for Steps (instructions vs AST visits) and the wording
+// VM executes compiled bytecode. It is the concrete evaluator of mini and the
+// independent check on the concolic tree walker (internal/concolic): results
+// are identical except for Steps (instructions vs AST visits) and the wording
 // of fault messages (no source positions in bytecode).
 
 type vm struct {
@@ -23,17 +24,41 @@ type vm struct {
 	wrongMod bool
 }
 
-// RunVM executes the compiled program's main function on the flattened input
-// vector, like Run.
-func RunVM(c *Compiled, input []int64, opts RunOptions) *Result {
+// newVM resolves the run's budgets and samples the injected fault.
+func newVM(c *Compiled, opts RunOptions) *vm {
 	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = 200000
+		opts.MaxSteps = DefaultMaxSteps
 	}
 	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 256
+		opts.MaxDepth = DefaultMaxDepth
 	}
-	m := &vm{c: c, opts: opts, res: &Result{}}
-	m.wrongMod = faults.Active().FireVMWrongMod()
+	return &vm{c: c, opts: opts, res: &Result{}, wrongMod: faults.Active().FireVMWrongMod()}
+}
+
+// finish records how the run ended.
+func (m *vm) finish(ret int64, err error) *Result {
+	m.res.Steps = m.steps
+	switch e := err.(type) {
+	case nil:
+		m.res.Kind = StopReturn
+		m.res.Return = ret
+	case errorReached:
+		m.res.Kind = StopError
+		m.res.ErrorSite = e.site
+		m.res.ErrorMsg = e.msg
+	case runtimeFault:
+		m.res.Kind = StopRuntime
+		m.res.RuntimeMsg = e.msg
+	default:
+		panic(err)
+	}
+	return m.res
+}
+
+// RunVM executes the compiled program's main function on the flattened input
+// vector (see Program.Shape). The input length must match the shape.
+func RunVM(c *Compiled, input []int64, opts RunOptions) *Result {
+	m := newVM(c, opts)
 
 	main := c.prog.Main()
 	fnIx := c.byName["main"]
@@ -68,24 +93,7 @@ func RunVM(c *Compiled, input []int64, opts RunOptions) *Result {
 	if k != len(input) {
 		panic(fmt.Sprintf("mini.RunVM: input length %d does not match shape %d", len(input), k))
 	}
-
-	ret, err := m.exec(fnIx, ints, arrs, fns)
-	m.res.Steps = m.steps
-	switch e := err.(type) {
-	case nil:
-		m.res.Kind = StopReturn
-		m.res.Return = ret
-	case errorReached:
-		m.res.Kind = StopError
-		m.res.ErrorSite = e.site
-		m.res.ErrorMsg = e.msg
-	case runtimeFault:
-		m.res.Kind = StopRuntime
-		m.res.RuntimeMsg = e.msg
-	default:
-		panic(err)
-	}
-	return m.res
+	return m.finish(m.exec(fnIx, ints, arrs, fns))
 }
 
 // exec runs one function frame to completion.
@@ -233,12 +241,7 @@ func (m *vm) exec(fnIx int, ints []int64, arrs [][]int64, fns []*FuncValue) (int
 			args := make([]int64, n)
 			copy(args, stack[len(stack)-n:])
 			stack = stack[:len(stack)-n]
-			fv := fns[in.A]
-			out := fv.Eval(args)
-			if m.opts.OnCallbackCall != nil {
-				m.opts.OnCallbackCall(fv, args, out)
-			}
-			stack = append(stack, out)
+			stack = append(stack, fns[in.A].Eval(args))
 
 		case OpCall:
 			m.depth++
@@ -295,8 +298,10 @@ func (c *Compiled) Disasm(fn string) string {
 }
 
 // RunFuncVM executes a single function of the compiled program on int
-// arguments, like RunFunc but on the VM. It is the fast probe pass of the
-// summary machinery.
+// arguments (the function must take only int parameters). The Result's branch
+// trace covers only the callee's execution. It is the probe pass of the
+// summary machinery: a cheap concrete run that determines the
+// intraprocedural path before any symbolic work is spent.
 func RunFuncVM(c *Compiled, name string, args []int64, opts RunOptions) *Result {
 	ix, ok := c.byName[name]
 	if !ok {
@@ -306,34 +311,11 @@ func RunFuncVM(c *Compiled, name string, args []int64, opts RunOptions) *Result 
 	if len(args) != len(fn.intParam) || fn.arrParam != 0 || fn.numFns != 0 {
 		panic("mini.RunFuncVM: " + name + " signature mismatch (int params only)")
 	}
-	if opts.MaxSteps <= 0 {
-		opts.MaxSteps = 200000
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 256
-	}
-	m := &vm{c: c, opts: opts, res: &Result{}}
-	m.wrongMod = faults.Active().FireVMWrongMod()
+	m := newVM(c, opts)
 	ints := make([]int64, fn.numInts)
 	for i, slot := range fn.intParam {
 		ints[slot] = args[i]
 	}
 	arrs := make([][]int64, fn.numArrs)
-	ret, err := m.exec(ix, ints, arrs, nil)
-	m.res.Steps = m.steps
-	switch e := err.(type) {
-	case nil:
-		m.res.Kind = StopReturn
-		m.res.Return = ret
-	case errorReached:
-		m.res.Kind = StopError
-		m.res.ErrorSite = e.site
-		m.res.ErrorMsg = e.msg
-	case runtimeFault:
-		m.res.Kind = StopRuntime
-		m.res.RuntimeMsg = e.msg
-	default:
-		panic(err)
-	}
-	return m.res
+	return m.finish(m.exec(ix, ints, arrs, nil))
 }

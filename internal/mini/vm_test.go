@@ -1,32 +1,34 @@
-package mini
+package mini_test
 
 import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"hotg/internal/mini"
 )
 
-func vmNatives() Natives {
-	ns := Natives{}
+func vmNatives() mini.Natives {
+	ns := mini.Natives{}
 	ns.Register("hash", 1, func(a []int64) int64 { return (a[0]*a[0]*7 + 13) % 1000 })
 	return ns
 }
 
-func vmProg(t testing.TB, src string) (*Program, *Compiled) {
+func vmProg(t testing.TB, src string) (*mini.Program, *mini.Compiled) {
 	t.Helper()
-	p, err := Parse(src)
+	p, err := mini.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if err := Check(p, vmNatives()); err != nil {
+	if err := mini.Check(p, vmNatives()); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	return p, CompileVM(p)
+	return p, mini.CompileVM(p)
 }
 
 // sameResult compares everything except Steps (instruction counts differ
 // from AST-visit counts) and fault wording (no positions in bytecode).
-func sameResult(a, b *Result) bool {
+func sameResult(a, b *mini.Result) bool {
 	return a.Kind == b.Kind && a.Return == b.Return &&
 		a.ErrorSite == b.ErrorSite && a.ErrorMsg == b.ErrorMsg &&
 		a.Path() == b.Path() && len(a.Branches) == len(b.Branches)
@@ -40,10 +42,10 @@ fn main(x int, y int) int {
 	return s * 10 + q * 100 + x % y;
 }`)
 	for _, in := range [][]int64{{7, 2}, {-9, 4}, {0, 1}} {
-		ri := Run(p, in, RunOptions{})
-		rv := RunVM(c, in, RunOptions{})
-		if !sameResult(ri, rv) {
-			t.Fatalf("input %v: interp %+v vs vm %+v", in, ri, rv)
+		rw := walk(p, in, mini.RunOptions{})
+		rv := mini.RunVM(c, in, mini.RunOptions{})
+		if !sameResult(rw, rv) {
+			t.Fatalf("input %v: walker %+v vs vm %+v", in, rw, rv)
 		}
 	}
 }
@@ -59,14 +61,14 @@ fn main(x int) {
 	}
 }`)
 	for _, in := range [][]int64{{5}, {0}, {20}, {-1}, {-2}, {-3}} {
-		ri := Run(p, in, RunOptions{})
-		rv := RunVM(c, in, RunOptions{})
-		if !sameResult(ri, rv) {
-			t.Fatalf("input %v: interp %+v (%s) vs vm %+v (%s)", in, ri, ri.Path(), rv, rv.Path())
+		rw := walk(p, in, mini.RunOptions{})
+		rv := mini.RunVM(c, in, mini.RunOptions{})
+		if !sameResult(rw, rv) {
+			t.Fatalf("input %v: walker %+v (%s) vs vm %+v (%s)", in, rw, rw.Path(), rv, rv.Path())
 		}
-		for i := range ri.Branches {
-			if ri.Branches[i] != rv.Branches[i] {
-				t.Fatalf("input %v: event %d: %v vs %v", in, i, ri.Branches[i], rv.Branches[i])
+		for i := range rw.Branches {
+			if rw.Branches[i] != rv.Branches[i] {
+				t.Fatalf("input %v: event %d: %v vs %v", in, i, rw.Branches[i], rv.Branches[i])
 			}
 		}
 	}
@@ -90,10 +92,10 @@ fn main(v int) int {
 	return sum(a);
 }`)
 	for _, in := range [][]int64{{0}, {10}, {-3}} {
-		ri := Run(p, in, RunOptions{})
-		rv := RunVM(c, in, RunOptions{})
-		if !sameResult(ri, rv) {
-			t.Fatalf("input %v: %+v vs %+v", in, ri, rv)
+		rw := walk(p, in, mini.RunOptions{})
+		rv := mini.RunVM(c, in, mini.RunOptions{})
+		if !sameResult(rw, rv) {
+			t.Fatalf("input %v: %+v vs %+v", in, rw, rv)
 		}
 	}
 }
@@ -112,10 +114,10 @@ func TestVMFaults(t *testing.T) {
 	}
 	for _, cse := range cases {
 		p, c := vmProg(t, cse.src)
-		ri := Run(p, cse.input, RunOptions{MaxSteps: 5000, MaxDepth: 32})
-		rv := RunVM(c, cse.input, RunOptions{MaxSteps: 5000, MaxDepth: 32})
-		if ri.Kind != StopRuntime || rv.Kind != StopRuntime {
-			t.Fatalf("src %q: interp %v vm %v", cse.src, ri.Kind, rv.Kind)
+		rw := walk(p, cse.input, mini.RunOptions{MaxSteps: 5000, MaxDepth: 32})
+		rv := mini.RunVM(c, cse.input, mini.RunOptions{MaxSteps: 5000, MaxDepth: 32})
+		if rw.Kind != mini.StopRuntime || rv.Kind != mini.StopRuntime {
+			t.Fatalf("src %q: walker %v vm %v", cse.src, rw.Kind, rv.Kind)
 		}
 	}
 }
@@ -127,20 +129,20 @@ fn fib(n int) int {
 	return fib(n - 1) + fib(n - 2);
 }
 fn main(n int) int { return fib(n); }`)
-	rv := RunVM(c, []int64{12}, RunOptions{})
-	if rv.Kind != StopReturn || rv.Return != 144 {
+	rv := mini.RunVM(c, []int64{12}, mini.RunOptions{})
+	if rv.Kind != mini.StopReturn || rv.Return != 144 {
 		t.Fatalf("fib(12) = %+v", rv)
 	}
-	ri := Run(p, []int64{12}, RunOptions{})
-	if !sameResult(ri, rv) {
-		t.Fatalf("interp %+v vs vm %+v", ri, rv)
+	rw := walk(p, []int64{12}, mini.RunOptions{})
+	if !sameResult(rw, rv) {
+		t.Fatalf("walker %+v vs vm %+v", rw, rv)
 	}
 }
 
 func TestVMNativeHook(t *testing.T) {
 	_, c := vmProg(t, `fn main(x int) int { return hash(x) + hash(3); }`)
 	calls := 0
-	rv := RunVM(c, []int64{2}, RunOptions{
+	rv := mini.RunVM(c, []int64{2}, mini.RunOptions{
 		OnNativeCall: func(name string, args []int64, out int64) {
 			calls++
 			if name != "hash" || len(args) != 1 {
@@ -148,7 +150,7 @@ func TestVMNativeHook(t *testing.T) {
 			}
 		},
 	})
-	if rv.Kind != StopReturn || calls != 2 {
+	if rv.Kind != mini.StopReturn || calls != 2 {
 		t.Fatalf("rv=%+v calls=%d", rv, calls)
 	}
 }
@@ -162,29 +164,29 @@ fn main(v int) int {
 	poke(a, v + 1);
 	return a[0];
 }`)
-	ri := Run(p, []int64{5}, RunOptions{})
-	rv := RunVM(c, []int64{5}, RunOptions{})
-	if !sameResult(ri, rv) || rv.Return != 6 {
-		t.Fatalf("interp %+v vs vm %+v", ri, rv)
+	rw := walk(p, []int64{5}, mini.RunOptions{})
+	rv := mini.RunVM(c, []int64{5}, mini.RunOptions{})
+	if !sameResult(rw, rv) || rv.Return != 6 {
+		t.Fatalf("walker %+v vs vm %+v", rw, rv)
 	}
 }
 
 // TestVMAgreesWithInterpProperty is the headline equivalence test: on random
-// programs (with helper functions) and random inputs, the VM and the
-// interpreter agree on everything observable.
+// programs (with helper functions) and random inputs, the VM and the concolic
+// tree walker agree on everything observable.
 func TestVMAgreesWithInterpProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(73))
 	ns := vmNatives()
 	for iter := 0; iter < 200; iter++ {
-		src := GenProgram(r, GenConfig{Natives: []string{"hash"}, NumHelpers: 2})
-		p := MustCheck(MustParse(src), ns)
-		c := CompileVM(p)
+		src := mini.GenProgram(r, mini.GenConfig{Natives: []string{"hash"}, NumHelpers: 2})
+		p := mini.MustCheck(mini.MustParse(src), ns)
+		c := mini.CompileVM(p)
 		for rep := 0; rep < 3; rep++ {
 			in := []int64{int64(r.Intn(41) - 20), int64(r.Intn(41) - 20), int64(r.Intn(41) - 20)}
-			ri := Run(p, in, RunOptions{})
-			rv := RunVM(c, in, RunOptions{})
-			if !sameResult(ri, rv) {
-				t.Fatalf("iter %d input %v:\ninterp %+v\nvm     %+v\n%s", iter, in, ri, rv, src)
+			rw := walk(p, in, mini.RunOptions{})
+			rv := mini.RunVM(c, in, mini.RunOptions{})
+			if !sameResult(rw, rv) {
+				t.Fatalf("iter %d input %v:\nwalker %+v\nvm     %+v\n%s", iter, in, rw, rv, src)
 			}
 		}
 	}

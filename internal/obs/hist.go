@@ -79,9 +79,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// ObserveDuration is Observe for a time.Duration expressed in nanoseconds.
-func (h *Histogram) ObserveDuration(ns int64) { h.Observe(ns) }
-
 // HistSnapshot is a consistent-enough point-in-time view of a histogram.
 type HistSnapshot struct {
 	Count, Sum, Min, Max int64

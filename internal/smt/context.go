@@ -88,9 +88,6 @@ func NewContext(opts ContextOptions) *Context {
 	return c
 }
 
-// Depth returns the number of open frames.
-func (c *Context) Depth() int { return len(c.frames) }
-
 // Stats returns the session's activity counters.
 func (c *Context) Stats() ContextStats { return c.stats }
 
