@@ -495,15 +495,26 @@ fn main(x int) {
 	if ex2.Result.Kind != mini.StopError {
 		t.Fatalf("flipping should reach the bug, got %+v", ex2.Result)
 	}
-	exp := ex.ExpectedTrace(1)
-	if len(exp) != 2 || !exp[0].Taken || !exp[1].Taken {
-		t.Fatalf("expected trace = %v", exp)
+	exp := ex.Prediction(1)
+	if exp.Len() != 2 || !exp.At(0).Taken || !exp.At(1).Taken {
+		t.Fatalf("expected trace = %v", exp.Executed())
 	}
-	got := ex2.Result.Branches[:len(exp)]
-	for i := range exp {
-		if got[i] != exp[i] {
-			t.Fatalf("trace mismatch at %d: %v vs %v", i, got[i], exp[i])
+	got := ex2.Result.Branches[:exp.Len()]
+	for i := range got {
+		if got[i] != exp.At(i) {
+			t.Fatalf("trace mismatch at %d: %v vs %v", i, got[i], exp.At(i))
 		}
+	}
+	// The prediction is a capped view of the parent's trace: it copies
+	// nothing, and an append through it cannot reach the parent's array.
+	if &exp.Executed()[0] != &ex.Result.Branches[0] {
+		t.Fatal("prediction copied the parent's trace")
+	}
+	if cap(exp.Executed()) != exp.Len() {
+		t.Fatalf("prediction capacity %d, want %d", cap(exp.Executed()), exp.Len())
+	}
+	if ex.Result.Branches[1].Taken {
+		t.Fatal("building the prediction flipped the parent's event")
 	}
 }
 

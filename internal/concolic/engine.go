@@ -161,18 +161,52 @@ func (ex *Execution) Alt(k int) sym.Expr {
 	return sym.AndExpr(parts...)
 }
 
-// ExpectedTrace returns the branch trace an input satisfying Alt(k) is
+// Prediction returns the branch trace an input satisfying Alt(k) is
 // predicted to follow: the executed prefix up to the k-th constraint's branch
-// event, with that event flipped.
-func (ex *Execution) ExpectedTrace(k int) []mini.BranchEvent {
+// event, with that event flipped. It is a view of ex.Result.Branches.
+func (ex *Execution) Prediction(k int) Prediction {
 	idx := ex.PC[k].EventIndex
-	out := make([]mini.BranchEvent, idx+1)
-	copy(out, ex.Result.Branches[:idx])
-	ev := ex.Result.Branches[idx]
-	ev.Taken = !ev.Taken
-	out[idx] = ev
-	return out
+	return Predict(ex.Result.Branches[:idx+1])
 }
+
+// Prediction is the branch trace a generated test is predicted to follow: its
+// parent execution's branch events up to the negated one, with that one
+// flipped. It is a view of the parent's events, not a copy, so every test
+// generated from one execution shares that execution's array. The zero
+// Prediction is no prediction at all (a seed input), which is distinct from
+// an empty one.
+type Prediction struct {
+	// executed holds the parent's events through the flipped one, as the
+	// parent took them; its capacity ends there, so an append through the
+	// view cannot write into the parent's array.
+	executed []mini.BranchEvent
+}
+
+// Predict returns the prediction that follows executed and flips its last
+// event. It shares executed's array; nil gives the zero Prediction.
+func Predict(executed []mini.BranchEvent) Prediction {
+	n := len(executed)
+	return Prediction{executed: executed[:n:n]}
+}
+
+// IsZero reports whether p is no prediction.
+func (p Prediction) IsZero() bool { return p.executed == nil }
+
+// Len returns the number of predicted events.
+func (p Prediction) Len() int { return len(p.executed) }
+
+// At returns the i-th predicted event.
+func (p Prediction) At(i int) mini.BranchEvent {
+	ev := p.executed[i]
+	if i == len(p.executed)-1 {
+		ev.Taken = !ev.Taken
+	}
+	return ev
+}
+
+// Executed returns the events p was built from (see Predict): the prediction
+// with its last event not yet flipped. The slice is shared; do not modify it.
+func (p Prediction) Executed() []mini.BranchEvent { return p.executed }
 
 // Engine executes one program under one mode, owning the symbolic input
 // variables (stable across runs, so path constraints from different runs

@@ -181,15 +181,21 @@ type pendingRec struct {
 // bad base64, a truncated, overlong or non-minimal uvarint, or any value out
 // of range is an error, never a silently dropped element.
 
-// trace is an expected branch trace in its serialized form, one uvarint per
-// event: ID<<1 | taken. Branch IDs are range-checked against the program on
-// restore (checkTrace).
+// trace is an expected branch trace in record form: the events a
+// concolic.Prediction views (Prediction.Executed), so a queued item is
+// encoded without copying its parent's trace. It is serialized as the
+// predicted trace itself, one uvarint per event: ID<<1 | taken, the last
+// event flipped. Branch IDs are range-checked against the program on restore
+// (checkTrace).
 type trace []mini.BranchEvent
 
 // MarshalText implements encoding.TextMarshaler.
 func (t trace) MarshalText() ([]byte, error) {
 	packed := make([]byte, 0, len(t)+len(t)/4)
-	for _, ev := range t {
+	for i, ev := range t {
+		if i == len(t)-1 {
+			ev.Taken = !ev.Taken
+		}
 		v := uint64(ev.ID) << 1
 		if ev.Taken {
 			v |= 1
@@ -216,6 +222,9 @@ func (t *trace) UnmarshalText(text []byte) error {
 		}
 		out = append(out, mini.BranchEvent{ID: int(v >> 1), Taken: v&1 == 1})
 		off += k
+	}
+	if n := len(out); n > 0 {
+		out[n-1].Taken = !out[n-1].Taken // back to record form
 	}
 	*t = out
 	return nil
@@ -489,7 +498,7 @@ func encodeItem(it item) (itemRec, error) {
 	rec := itemRec{
 		Input:    it.input,
 		Funcs:    encodeFuncVals(it.funcs),
-		Expected: it.expected,
+		Expected: it.expected.Executed(),
 		Bound:    it.bound,
 		Rung:     int(it.rung),
 		NoExpand: it.noExpand,
@@ -504,7 +513,7 @@ func encodeItem(it item) (itemRec, error) {
 			return rec, err
 		}
 		rec.Pending = &pendingRec{
-			Strategy: strat, Alt: alt, Expected: pt.expected,
+			Strategy: strat, Alt: alt, Expected: pt.expected.Executed(),
 			Fallback: pt.fallback, Funcs: encodeFuncVals(pt.funcs),
 			Bound: pt.bound, Retries: pt.retries, Hot: pt.hot,
 		}
@@ -526,7 +535,7 @@ func decodeItem(rec itemRec, res *sym.Resolver, branches int) (item, error) {
 	it := item{
 		input:    rec.Input,
 		funcs:    funcs,
-		expected: rec.Expected,
+		expected: concolic.Predict(rec.Expected),
 		bound:    rec.Bound,
 		rung:     Rung(rec.Rung),
 		noExpand: rec.NoExpand,
@@ -551,7 +560,7 @@ func decodeItem(rec itemRec, res *sym.Resolver, branches int) (item, error) {
 			return item{}, err
 		}
 		it.pending = &pendingTarget{
-			strategy: strat, alt: alt, expected: p.Expected,
+			strategy: strat, alt: alt, expected: concolic.Predict(p.Expected),
 			fallback: p.Fallback, funcs: pfuncs,
 			bound: p.Bound, retries: p.Retries, hot: p.Hot,
 		}

@@ -1,14 +1,22 @@
 package search
 
 import (
+	"bytes"
+	"compress/gzip"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
 	"strings"
 	"testing"
 
+	"hotg/internal/concolic"
+	"hotg/internal/lexapp"
 	"hotg/internal/mini"
 )
 
@@ -64,7 +72,7 @@ func TestTraceRoundTripProperty(t *testing.T) {
 }
 
 // TestTraceNilStaysNil: an item with no expected trace (a seed) must come
-// back without one — RunRecord.Seed reads expected == nil — while a present
+// back without one — RunRecord.Seed reads expected.IsZero() — while a present
 // trace never decodes to nil.
 func TestTraceNilStaysNil(t *testing.T) {
 	data, err := json.Marshal(itemRec{Input: []int64{1}})
@@ -84,7 +92,7 @@ func TestTraceNilStaysNil(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"input":[1],"expected":"AA=="}`), &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Expected == nil || len(rec.Expected) != 1 || rec.Expected[0] != (mini.BranchEvent{}) {
+	if rec.Expected == nil || len(rec.Expected) != 1 || concolic.Predict(rec.Expected).At(0) != (mini.BranchEvent{}) {
 		t.Fatalf("one-event trace decoded as %#v", rec.Expected)
 	}
 }
@@ -155,5 +163,83 @@ func TestKeySetRoundTrip(t *testing.T) {
 		if err := ks.UnmarshalText([]byte(text)); err == nil {
 			t.Errorf("%s: %q decoded to %q", name, text, ks)
 		}
+	}
+}
+
+// format3Snapshot is a checkpoint of a higher-order lexer search (seeds and
+// bounds of lexapp's "lexer", 60 runs, one worker) taken after run 4 by a
+// build that still held every queued prediction as a copy. Holding them as
+// views of the parent's trace must not change the bytes or their meaning.
+const format3Snapshot = "testdata/lexer_ho_run4.json.gz"
+
+// format3Canonical is the SHA-256 of Stats.Canonical of that search, run
+// uninterrupted by the same build.
+const format3Canonical = "ca02ed72f507b7a69562afb75f9cb271058ad1e3ce3425a5c6e34dff3c63c3a9"
+
+// TestCheckpointFormat3Compat: the committed format-3 snapshot decodes,
+// restores into a fresh engine, re-encodes byte for byte — its queued
+// predictions included — and resumes to the canonical digest of the
+// uninterrupted search.
+func TestCheckpointFormat3Compat(t *testing.T) {
+	f, err := os.Open(format3Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = bytes.TrimSpace(raw)
+	var snap Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.FormatVersion != 3 || len(snap.Hot) == 0 || len(snap.Cold) == 0 {
+		t.Fatalf("snapshot: format %d, %d hot and %d cold items; want format 3 with both queues non-empty",
+			snap.FormatVersion, len(snap.Hot), len(snap.Cold))
+	}
+
+	w, _ := lexapp.Get("lexer")
+	eng := concolic.New(w.Build(), concolic.ModeHigherOrder)
+	s := &searcher{eng: eng, opts: Options{MaxRuns: snap.MaxRuns}, stats: newStats(eng.Mode.String(), eng.Prog.NumBranches), cache: newProofCache()}
+	if err := s.restoreSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	again, err := s.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, raw) {
+		i := 0
+		for i < len(got) && i < len(raw) && got[i] == raw[i] {
+			i++
+		}
+		t.Fatalf("restored snapshot re-encodes differently from byte %d:\ncommitted:  %.200s\nre-encoded: %.200s", i, raw[i:], got[i:])
+	}
+
+	opts := Options{MaxRuns: snap.MaxRuns, Seeds: w.Seeds, Bounds: w.Bounds, Workers: 1}
+	whole, err := Run(concolic.New(w.Build(), concolic.ModeHigherOrder), opts).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Restore = &snap
+	resumed, err := Run(concolic.New(w.Build(), concolic.ModeHigherOrder), opts).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resumed, whole) {
+		t.Errorf("resumed search diverged:\nuninterrupted: %.300s\nresumed:       %.300s", whole, resumed)
+	}
+	if sum := fmt.Sprintf("%x", sha256.Sum256(whole)); sum != format3Canonical {
+		t.Errorf("uninterrupted search has canonical digest %s, want %s", sum, format3Canonical)
 	}
 }

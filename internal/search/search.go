@@ -98,7 +98,7 @@ type Options struct {
 // prediction used for divergence checking and the generational bound.
 type item struct {
 	input    []int64
-	expected []mini.BranchEvent
+	expected concolic.Prediction
 	bound    int
 	pending  *pendingTarget
 	// funcs are the function-valued inputs the test runs under, aligned with
@@ -121,7 +121,7 @@ type item struct {
 type pendingTarget struct {
 	strategy *fol.Strategy
 	alt      sym.Expr
-	expected []mini.BranchEvent
+	expected concolic.Prediction
 	fallback []int64
 	funcs    []*mini.FuncValue
 	bound    int
@@ -642,7 +642,7 @@ func (s *searcher) processBatch(batch []item) bool {
 		if r.ex.Incomplete {
 			s.stats.Incomplete = true
 		}
-		div := it.expected != nil && diverged(r.ex.Result.Branches, it.expected)
+		div := !it.expected.IsZero() && diverged(r.ex.Result.Branches, it.expected)
 		if div {
 			s.stats.Divergences++
 		}
@@ -665,7 +665,7 @@ func (s *searcher) processBatch(batch []item) bool {
 			}
 			if div {
 				s.emit(obs.Event{Kind: "divergence", Worker: -1,
-					Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(len(it.expected)), "actual_len": int64(len(r.ex.Result.Branches))}})
+					Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(it.expected.Len()), "actual_len": int64(len(r.ex.Result.Branches))}})
 			}
 			for _, b := range s.stats.Bugs[bugsBefore:] {
 				s.emit(obs.Event{Kind: "bug_found", Worker: -1,
@@ -677,7 +677,7 @@ func (s *searcher) processBatch(batch []item) bool {
 			rec := RunRecord{
 				Run: s.stats.Runs, Input: it.input, Funcs: funcsText, Path: r.ex.Result.Path(),
 				Gained: gained, Rung: it.rung,
-				Seed:         !it.noExpand && it.expected == nil,
+				Seed:         !it.noExpand && it.expected.IsZero(),
 				Intermediate: it.noExpand,
 				Diverged:     div,
 			}
@@ -733,12 +733,12 @@ func (s *searcher) parallelDo(n int, fn func(i, worker int)) {
 }
 
 // diverged reports whether the actual trace fails to realize the prediction.
-func diverged(actual, expected []mini.BranchEvent) bool {
-	if len(actual) < len(expected) {
+func diverged(actual []mini.BranchEvent, expected concolic.Prediction) bool {
+	if len(actual) < expected.Len() {
 		return true
 	}
-	for i := range expected {
-		if actual[i] != expected[i] {
+	for i := 0; i < expected.Len(); i++ {
+		if actual[i] != expected.At(i) {
 			return true
 		}
 	}
@@ -750,7 +750,7 @@ func diverged(actual, expected []mini.BranchEvent) bool {
 type target struct {
 	alt sym.Expr
 	// k indexes the negated constraint in the execution's path constraint;
-	// ex.ExpectedTrace(k) is the target's trace prediction.
+	// ex.Prediction(k) is the target's trace prediction.
 	k        int
 	cacheKey string
 	// Higher-order result: core strategy (no fallback defs) and outcome.
@@ -789,26 +789,27 @@ type target struct {
 func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 	// The prefix grows by one conjunct per constraint. The slicer and the key
 	// packer take in each conjunct's dependencies and branch event once, not
-	// once per target; a target's expected trace is copied only if it yields
-	// a test.
+	// once per target; every test generated here predicts its trace with a
+	// view of ex's branch trace, never a copy.
+	fnInputs := len(s.eng.FuncShape()) > 0
 	prefix := newSlicer()
 	for i := 0; i < bound && i < len(ex.PC); i++ {
 		e := ex.PC[i].Expr
-		prefix.add(e, depIDs(e))
+		prefix.add(e, depIDs(e, fnInputs))
 	}
 	keys := keyPacker{branches: ex.Result.Branches}
 	var targets, callback []*target
 	for k := bound; k < len(ex.PC); k++ {
 		c := ex.PC[k]
 		if c.IsConcretization {
-			prefix.add(c.Expr, depIDs(c.Expr))
+			prefix.add(c.Expr, depIDs(c.Expr, fnInputs))
 			continue
 		}
 		negated := sym.NotExpr(c.Expr)
 		if key := keys.key(c.EventIndex, negated); !s.targeted[string(key)] {
 			s.targeted[string(key)] = true
 			t := &target{alt: prefix.slice(negated), k: k, worker: -1}
-			if hasInputFn(t.alt) {
+			if hasInputFn(t.alt, fnInputs) {
 				// The target constrains a function-valued input: it is solved
 				// by the witness-constructor path (funcsynth.go), which
 				// materializes a concrete decision table per generated test.
@@ -824,7 +825,7 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 					}})
 			}
 		}
-		prefix.add(c.Expr, depIDs(c.Expr))
+		prefix.add(c.Expr, depIDs(c.Expr, fnInputs))
 	}
 	if len(targets) > 0 {
 		if s.eng.Mode == concolic.ModeHigherOrder {
@@ -957,7 +958,7 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 				// input's values.
 				strategy: fol.FillFallback(t.strategy, t.alt, fb),
 				alt:      t.alt,
-				expected: ex.ExpectedTrace(t.k),
+				expected: ex.Prediction(t.k),
 				fallback: fallback,
 				funcs:    ex.Funcs,
 				bound:    t.k + 1,
@@ -990,7 +991,7 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 		if t.status != smt.StatusSat {
 			continue
 		}
-		s.enqueueTest(s.inputFrom(t.model.Vars, fallback), ex.Funcs, ex.ExpectedTrace(t.k), t.k+1, hot, t.rung)
+		s.enqueueTest(s.inputFrom(t.model.Vars, fallback), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, t.rung)
 	}
 }
 
@@ -1071,7 +1072,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 		}
 		// Lower modes already solve at the quantifier-free rung; tag their
 		// tests accordingly so per-rung counts are meaningful across modes.
-		s.enqueueTest(input, ex.Funcs, ex.ExpectedTrace(t.k), t.k+1, hot, RungQF)
+		s.enqueueTest(input, ex.Funcs, ex.Prediction(t.k), t.k+1, hot, RungQF)
 	}
 }
 
@@ -1159,7 +1160,7 @@ func (s *searcher) inBounds(input []int64) bool {
 // enqueueTest queues a generated test, recording which precision-ladder rung
 // produced it (RungProof for strategies, RungQF for plain solving, lower for
 // degraded targets).
-func (s *searcher) enqueueTest(input []int64, funcs []*mini.FuncValue, expected []mini.BranchEvent, bound int, hot bool, rung Rung) {
+func (s *searcher) enqueueTest(input []int64, funcs []*mini.FuncValue, expected concolic.Prediction, bound int, hot bool, rung Rung) {
 	if s.tried[s.runKey(input, funcs)] {
 		return
 	}

@@ -2,6 +2,8 @@ package search
 
 import (
 	"encoding/binary"
+	"fmt"
+	"slices"
 
 	"hotg/internal/mini"
 	"hotg/internal/sym"
@@ -88,14 +90,8 @@ func (sl *slicer) slice(negated sym.Expr) sym.Expr {
 	return sym.AndExpr(append(parts, negated)...)
 }
 
-func varIDs(e sym.Expr) []int {
-	vs := sym.Vars(e)
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		out[i] = v.ID
-	}
-	return out
-}
+// varIDs returns the IDs of the variables occurring in e, sorted and distinct.
+func varIDs(e sym.Expr) []int { return sortedIDs(appendDeps(nil, e, false)) }
 
 // depIDs is varIDs extended with a pseudo-ID for every function-valued-input
 // symbol the expression applies. Two constraints mentioning the same callback
@@ -104,20 +100,60 @@ func varIDs(e sym.Expr) []int {
 // would unsoundly separate them. Input symbols map to the negative range
 // -(ID+1), which cannot collide with variable IDs; environment functions
 // (natives, unknown instructions) keep their ground truth across tests and
-// need no coupling.
-func depIDs(e sym.Expr) []int {
-	out := varIDs(e)
-	for _, a := range sym.Applies(e) {
-		if a.Fn.Input {
-			out = append(out, -(a.Fn.ID + 1))
+// need no coupling. fnInputs reports whether the program has function-valued
+// inputs at all; without them there is nothing to couple.
+func depIDs(e sym.Expr, fnInputs bool) []int { return sortedIDs(appendDeps(nil, e, fnInputs)) }
+
+// appendDeps appends to ids the variable IDs occurring in e and, when
+// fnInputs is set, the pseudo-ID of every function-valued input applied in
+// e, in one walk and with repeats.
+func appendDeps(ids []int, e sym.Expr, fnInputs bool) []int {
+	switch x := e.(type) {
+	case *sym.Sum:
+		for _, t := range x.Terms {
+			switch a := t.Atom.(type) {
+			case *sym.Var:
+				ids = append(ids, a.ID)
+			case *sym.Apply:
+				if fnInputs && a.Fn.Input {
+					ids = append(ids, -(a.Fn.ID + 1))
+				}
+				for _, arg := range a.Args {
+					ids = appendDeps(ids, arg, fnInputs)
+				}
+			}
 		}
+	case *sym.Cmp:
+		ids = appendDeps(ids, x.S, fnInputs)
+	case *sym.Not:
+		ids = appendDeps(ids, x.X, fnInputs)
+	case *sym.And:
+		for _, y := range x.Xs {
+			ids = appendDeps(ids, y, fnInputs)
+		}
+	case *sym.Or:
+		for _, y := range x.Xs {
+			ids = appendDeps(ids, y, fnInputs)
+		}
+	case *sym.Bool:
+	default:
+		panic(fmt.Sprintf("search: appendDeps: unexpected %T", e))
 	}
-	return out
+	return ids
+}
+
+func sortedIDs(ids []int) []int {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // hasInputFn reports whether the formula applies any function-valued input —
-// the marker routing a target to the callback-synthesis path.
-func hasInputFn(e sym.Expr) bool {
+// the marker routing a target to the callback-synthesis path. fnInputs is as
+// for depIDs.
+func hasInputFn(e sym.Expr, fnInputs bool) bool {
+	if !fnInputs {
+		return false
+	}
 	for _, a := range sym.Applies(e) {
 		if a.Fn.Input {
 			return true
