@@ -76,14 +76,14 @@ fuzz-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x
 
-# bench-smoke compiles and runs the incremental-solver benchmark family once
-# per benchmark, so the session workload shape (shared prefix, sibling
-# targets, warm refutation) cannot bit-rot between full benchmark runs; and
-# likewise the checkpoint save/load benchmarks (lexer snapshot at run 270,
+# bench-smoke runs the warm refuter's benchmark once
+# (BenchmarkSolveIncrementalWarmRefute: a shared base, sibling cases, a
+# retained theory lemma), so it cannot bit-rot between full benchmark runs;
+# and likewise the checkpoint save/load benchmarks (lexer snapshot at run 270,
 # reporting bytes per checkpoint). It also runs one 150-run E12 lexer search
 # with -benchmem, so every log shows a search's B/op and allocs/op.
 bench-smoke:
-	$(GO) test ./internal/smt/ -run '^$$' -bench SolveIncremental -benchtime 1x
+	$(GO) test ./internal/smt/ -run '^$$' -bench 'SolveIncrementalWarmRefute$$' -benchtime 1x
 	$(GO) test ./internal/campaign/ -run '^$$' -bench 'SaveCheckpoint|LoadCheckpoint' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'SearchParallel1$$' -benchtime 1x -benchmem
 

@@ -42,9 +42,6 @@ type jsonResult struct {
 	ProofCacheMisses int64              `json:"proof_cache_misses"`
 	WallSeconds      float64            `json:"wall_seconds"`
 	SolveSeconds     float64            `json:"solve_seconds"`
-	SolverPushes     int64              `json:"solver_pushes"`
-	ClausesRetained  int64              `json:"clauses_retained"`
-	WarmstartHits    int64              `json:"warmstart_hits"`
 	ProofTimeouts    int64              `json:"proof_timeouts,omitempty"`
 	Degraded         int64              `json:"degraded,omitempty"`
 	TestsProof       int64              `json:"tests_proof,omitempty"`
@@ -142,9 +139,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				ProofCacheMisses: m.Get("search.proof_cache.misses"),
 				WallSeconds:      float64(m.Get("search.wall_ns")) / 1e9,
 				SolveSeconds:     float64(m.Get("search.solve_ns")) / 1e9,
-				SolverPushes:     m.Get("smt.ctx.pushes"),
-				ClausesRetained:  m.Get("smt.ctx.clauses_retained"),
-				WarmstartHits:    m.Get("smt.ctx.warmstart_hits"),
 				ProofTimeouts:    m.Get("search.budget.proof_timeouts"),
 				Degraded:         m.Get("search.budget.degraded_qf") + m.Get("search.budget.degraded_concretize"),
 				TestsProof:       m.Get("search.budget.tests.proof"),

@@ -17,7 +17,9 @@ import (
 // 1, the first-argument projection, its successor, and its negated successor.
 // These are exactly the counter-interpretations the paper reaches for
 // ("consider the function h such that h(x)=0 for all x", Example 4; a
-// successor-style h refutes Example 3's x = h(y) ∧ y = h(x)).
+// successor-style h refutes Example 3's x = h(y) ∧ y = h(x)). A pc without
+// applications needs no completion and is one Solve; otherwise the five
+// completions are decided in order on one warm solver (smt.FirstUnsat).
 func Refute(pc sym.Expr, samples *sym.SampleStore, opts Options) bool {
 	o := opts.Obs
 	var t0 time.Time
@@ -29,54 +31,36 @@ func Refute(pc sym.Expr, samples *sym.SampleStore, opts Options) bool {
 		}()
 	}
 	if !sym.HasApply(pc) {
-		if opts.SMT != nil && !opts.NoIncrementalSMT {
-			st, _ := opts.SMT.SolveUnder(pc, opts.Ctx, opts.Deadline)
-			return st == smt.StatusUnsat
-		}
 		st, _ := smt.Solve(pc, smt.Options{
 			Pool: opts.Pool, VarBounds: opts.VarBounds, Obs: opts.Obs,
 			Ctx: opts.Ctx, Deadline: opts.Deadline,
 		})
 		return st == smt.StatusUnsat
 	}
-	defaults := []func(args []*sym.Sum) *sym.Sum{
-		func([]*sym.Sum) *sym.Sum { return sym.Int(0) },
-		func([]*sym.Sum) *sym.Sum { return sym.Int(1) },
-		func(a []*sym.Sum) *sym.Sum { return a[0] },
-		func(a []*sym.Sum) *sym.Sum { return sym.AddSum(a[0], sym.Int(1)) },
-		func(a []*sym.Sum) *sym.Sum { return sym.SubSum(sym.Int(-1), a[0]) },
-	}
-	if opts.NoIncrementalSMT {
-		for _, def := range defaults {
-			if completionUnsat(pc, samples, def, opts) {
-				return true
-			}
-		}
-		return false
-	}
-	return refuteIncremental(pc, samples, defaults, opts)
-}
-
-// refuteIncremental decides the five candidate completions on one warm
-// solver session instead of five independent Solve calls. The per-application
-// side conditions — the case split over recorded samples — are identical for
-// every default, so they are asserted once in the session base; only the
-// default's value on unsampled points differs per candidate. Factoring that
-// out needs one twist: the else-branch binds the stand-in v to a fresh
-// variable ev ("the default's value here") instead of to default(args), and
-// each candidate's frame then asserts ev = default(args). The framed
-// conjunction is equisatisfiable with completionUnsat's formula: substituting
-// default(args) for ev maps models in either direction, since ev is fresh and
-// occurs nowhere else. The shared base is where the warm session pays off:
-// theory lemmas minimized out of one candidate's conflicts mention only base
-// literals, survive the pop, and prune every later candidate's search —
-// refutation is the prover's dominant SMT cost (profile: ~94% of E5 solve
-// time was completionUnsat's core minimization before this path existed).
-func refuteIncremental(pc sym.Expr, samples *sym.SampleStore, defaults []func([]*sym.Sum) *sym.Sum, opts Options) bool {
 	pool := opts.Pool
 	if pool == nil {
 		pool = &sym.Pool{}
 	}
+	base, cases := completions(pc, samples, pool)
+	return smt.FirstUnsat(base, cases, smt.Options{
+		Pool: pool, VarBounds: opts.VarBounds, Obs: opts.Obs,
+		Ctx: opts.Ctx, Deadline: opts.Deadline,
+	}) >= 0
+}
+
+// completions factors the candidate interpretations of pc's unknown
+// functions into one base and one case per default, for smt.FirstUnsat.
+// Every application is replaced by a fresh stand-in v, and the base carries
+// its case split over the recorded samples; that split is the same for every
+// default. Only the value on unsampled points differs per candidate, so the
+// else-branch binds v to a fresh variable ev ("the default's value here"),
+// and each case asserts ev = default(args). Substituting default(args) for ev
+// maps models in either direction, since ev is fresh and occurs nowhere
+// else, so base ∧ case is equisatisfiable with pc under that completion. The
+// shared base is what the warm solver pays off on: theory lemmas minimized
+// out of one candidate's conflicts mention only base literals and prune every
+// later candidate's search.
+func completions(pc sym.Expr, samples *sym.SampleStore, pool *sym.Pool) (sym.Expr, []sym.Expr) {
 	type appElse struct {
 		ev   *sym.Var
 		args []*sym.Sum
@@ -109,68 +93,23 @@ func refuteIncremental(pc sym.Expr, samples *sym.SampleStore, defaults []func([]
 		elses = append(elses, appElse{ev: ev, args: a.Args})
 		return sym.VarTerm(v), true
 	})
-
-	ses := smt.NewContext(smt.ContextOptions{
-		Options: smt.Options{
-			Pool: pool, VarBounds: opts.VarBounds, Obs: opts.Obs,
-			Ctx: opts.Ctx, Deadline: opts.Deadline,
-		},
-		Retain: true,
-	})
-	ses.Assert(sym.AndExpr(append(side, replaced)...))
-	for _, def := range defaults {
-		ses.Push()
-		for _, ae := range elses {
-			ses.Assert(sym.Eq(sym.VarTerm(ae.ev), def(ae.args)))
+	cases := make([]sym.Expr, len(defaults))
+	for i, def := range defaults {
+		eqs := make([]sym.Expr, len(elses))
+		for j, ae := range elses {
+			eqs[j] = sym.Eq(sym.VarTerm(ae.ev), def(ae.args))
 		}
-		st, _ := ses.Check()
-		ses.Pop()
-		if st == smt.StatusUnsat {
-			return true
-		}
+		cases[i] = sym.AndExpr(eqs...)
 	}
-	return false
+	return sym.AndExpr(append(side, replaced)...), cases
 }
 
-// completionUnsat checks whether pc is unsatisfiable when every unknown
-// function f is interpreted as "its samples, else default(args)".
-func completionUnsat(pc sym.Expr, samples *sym.SampleStore, def func([]*sym.Sum) *sym.Sum, opts Options) bool {
-	pool := opts.Pool
-	if pool == nil {
-		pool = &sym.Pool{}
-	}
-	var side []sym.Expr
-	// Replace applications innermost-first by fresh variables constrained to
-	// the completed interpretation.
-	seen := map[string]*sym.Var{}
-	replaced := sym.RewriteApplies(pc, func(a *sym.Apply) (*sym.Sum, bool) {
-		key := a.Key()
-		if v, ok := seen[key]; ok {
-			return sym.VarTerm(v), true
-		}
-		v := pool.NewVar("$" + a.Fn.Name)
-		seen[key] = v
-
-		smps := samples.ForFunc(a.Fn)
-		var cases []sym.Expr
-		var notSampled []sym.Expr
-		for _, s := range smps {
-			match := make([]sym.Expr, len(a.Args))
-			for i := range a.Args {
-				match[i] = sym.Eq(a.Args[i], sym.Int(s.Args[i]))
-			}
-			cases = append(cases, sym.AndExpr(append(match, sym.Eq(sym.VarTerm(v), sym.Int(s.Out)))...))
-			notSampled = append(notSampled, sym.NotExpr(sym.AndExpr(match...)))
-		}
-		elseCase := sym.AndExpr(append(notSampled, sym.Eq(sym.VarTerm(v), def(a.Args)))...)
-		side = append(side, sym.OrExpr(append(cases, elseCase)...))
-		return sym.VarTerm(v), true
-	})
-
-	formula := sym.AndExpr(append(side, replaced)...)
-	st, _ := smt.Solve(formula, smt.Options{
-		Pool: pool, VarBounds: opts.VarBounds, Obs: opts.Obs,
-		Ctx: opts.Ctx, Deadline: opts.Deadline,
-	})
-	return st == smt.StatusUnsat
+// defaults are the candidate values of an unknown function off its samples,
+// in the order Refute tries them.
+var defaults = []func(args []*sym.Sum) *sym.Sum{
+	func([]*sym.Sum) *sym.Sum { return sym.Int(0) },
+	func([]*sym.Sum) *sym.Sum { return sym.Int(1) },
+	func(a []*sym.Sum) *sym.Sum { return a[0] },
+	func(a []*sym.Sum) *sym.Sum { return sym.AddSum(a[0], sym.Int(1)) },
+	func(a []*sym.Sum) *sym.Sum { return sym.SubSum(sym.Int(-1), a[0]) },
 }

@@ -54,17 +54,6 @@ type Options struct {
 	// deadline is forwarded to the residual SMT solves and the refutation
 	// pass, so one Prove call never outlives it by more than a poll interval.
 	Deadline time.Time
-	// SMT, when non-nil, is an incremental solver session used for the
-	// residual arithmetic solves. When nil (and NoIncrementalSMT is unset)
-	// ProveCore creates a private session for the call, so the residual
-	// solves of one proof search share its Ackermann expansion.
-	// Callers that share a session across calls must confine it to one
-	// goroutine.
-	SMT *smt.Context
-	// NoIncrementalSMT routes every solver query through one-shot smt.Solve
-	// calls, bypassing sessions entirely. It exists for ablations and for
-	// the equivalence gate: results must be bit-identical with it on or off.
-	NoIncrementalSMT bool
 }
 
 // Prove attempts a constructive validity proof of POST(pc) = ∃X: A ⇒ pc,
@@ -106,13 +95,6 @@ func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, 
 	}
 	if opts.Pool == nil {
 		opts.Pool = &sym.Pool{}
-	}
-	if opts.SMT == nil && !opts.NoIncrementalSMT {
-		// Private per-call session: sequential use, so Ackermann-expansion
-		// reuse cannot introduce scheduling dependence.
-		opts.SMT = smt.NewContext(smt.ContextOptions{
-			Options: smt.Options{Pool: opts.Pool, VarBounds: opts.VarBounds, Obs: opts.Obs},
-		})
 	}
 	o := opts.Obs
 	var t0 time.Time
@@ -578,32 +560,14 @@ func (p *prover) finish(conjuncts []sym.Expr, defs []Def, trace []tstep) *Strate
 	if residual == sym.True {
 		return st
 	}
-	var status smt.Status
-	var model *smt.Model
-	if p.opts.SMT != nil {
-		// The session carries the call's full VarBounds. Restricting them to
-		// undefined variables (as the one-shot path below does) is equivalent:
-		// defined variables were substituted out of every conjunct, so they
-		// cannot occur in the residual, and the solver only consults bounds of
-		// variables that occur in the formula.
-		status, model = p.opts.SMT.SolveUnder(residual, p.opts.Ctx, p.opts.Deadline)
-	} else {
-		// Respect bounds only for variables not already defined by the strategy.
-		bounds := make(map[int]smt.Bound)
-		defined := map[int]bool{}
-		for _, d := range defs {
-			defined[d.Var.ID] = true
-		}
-		for id, b := range p.opts.VarBounds {
-			if !defined[id] {
-				bounds[id] = b
-			}
-		}
-		status, model = smt.Solve(residual, smt.Options{
-			Pool: p.opts.Pool, VarBounds: bounds, Obs: p.opts.Obs,
-			Ctx: p.opts.Ctx, Deadline: p.opts.Deadline,
-		})
-	}
+	// The call's VarBounds pass through whole: defined variables were
+	// substituted out of every conjunct, so they cannot occur in the
+	// residual, and the solver only reads bounds of variables that occur in
+	// the formula.
+	status, model := smt.Solve(residual, smt.Options{
+		Pool: p.opts.Pool, VarBounds: p.opts.VarBounds, Obs: p.opts.Obs,
+		Ctx: p.opts.Ctx, Deadline: p.opts.Deadline,
+	})
 	if status != smt.StatusSat {
 		return nil
 	}

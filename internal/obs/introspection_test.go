@@ -21,7 +21,7 @@ var regen = flag.Bool("regen", false, "regenerate golden files")
 func TestOpenMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("search.runs").Add(42)
-	r.Counter("smt.ctx.pushes").Add(7)
+	r.Counter("smt.theory_conflicts").Add(7)
 	r.Gauge("search.frontier.hot").Set(13)
 	h := r.Histogram("fol.prove.ns")
 	h.Observe(1000)

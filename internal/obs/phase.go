@@ -40,11 +40,13 @@ func phaseTotal(by map[string]MetricValue, names ...string) time.Duration {
 //	search            search.wall_ns
 //	├─ exec           concolic.exec.ns
 //	└─ fol            fol.prove.ns + fol.refute.ns
-//	   └─ smt         smt.solve.ns + smt.ctx.check.ns
+//	   └─ smt         smt.solve.ns
 //	      ├─ sat      smt.sat.ns
 //	      ├─ simplex  smt.lia.ns   (LIA: branch-and-bound over simplex)
 //	      └─ euf      smt.euf.ns
 //
+// Every solver check, one-shot or on the warm refuter, is recorded once in
+// smt.solve.ns, so the smt row is that histogram's sum and nothing else.
 // Returns nil when the registry holds no search time at all (nothing ran, or
 // observability was off).
 func PhaseTree(r *Registry) *PhaseNode {
@@ -55,7 +57,7 @@ func PhaseTree(r *Registry) *PhaseNode {
 	for _, m := range r.Snapshot() {
 		by[m.Name] = m
 	}
-	smtNode := &PhaseNode{Name: "smt", Total: phaseTotal(by, "smt.solve.ns", "smt.ctx.check.ns"),
+	smtNode := &PhaseNode{Name: "smt", Total: phaseTotal(by, "smt.solve.ns"),
 		Children: []*PhaseNode{
 			{Name: "sat", Total: phaseTotal(by, "smt.sat.ns")},
 			{Name: "simplex", Total: phaseTotal(by, "smt.lia.ns")},
@@ -71,10 +73,9 @@ func PhaseTree(r *Registry) *PhaseNode {
 	if root.Total == 0 && folNode.Total == 0 && smtNode.Total == 0 {
 		return nil
 	}
-	// The satisfiability path (non-higher-order modes, per-worker sat
-	// sessions) reaches smt without going through fol; keep the tree honest
-	// by widening fol to at least its children so Self clamps at 0 instead
-	// of hiding solver time.
+	// The satisfiability path (non-higher-order modes) reaches smt without
+	// going through fol; keep the tree honest by widening fol to at least
+	// its children so Self clamps at 0 instead of hiding solver time.
 	if folNode.Total < smtNode.Total {
 		folNode.Total = smtNode.Total
 	}

@@ -99,14 +99,13 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 			}
 		}()
 		return fol.ProveCore(t.alt, store, fol.Options{
-			Pool:             s.eng.Pool,
-			VarBounds:        s.varBounds,
-			NoRefute:         !s.opts.Refute,
-			MaxNodes:         s.opts.ProverNodes,
-			Obs:              s.obs,
-			Ctx:              s.ctx,
-			Deadline:         s.proofDeadline(t0),
-			NoIncrementalSMT: s.opts.NoIncrementalSMT,
+			Pool:      s.eng.Pool,
+			VarBounds: s.varBounds,
+			NoRefute:  !s.opts.Refute,
+			MaxNodes:  s.opts.ProverNodes,
+			Obs:       s.obs,
+			Ctx:       s.ctx,
+			Deadline:  s.proofDeadline(t0),
 		})
 	}
 	s.stats.ProverCalls++

@@ -110,6 +110,14 @@ func TestSearchDeterministicWorkloads(t *testing.T) {
 		assertSameAcrossWorkers(t, "scanner-summaries", lexapp.Scanner(), concolic.ModeHigherOrder,
 			search.Options{MaxRuns: 60}, true)
 	})
+	t.Run("tokenparser-refute", func(t *testing.T) {
+		assertSameAcrossWorkers(t, "tokenparser-refute", lexapp.TokenParser(), concolic.ModeHigherOrder,
+			search.Options{MaxRuns: 60, Refute: true}, false)
+	})
+	t.Run("scanner-refute", func(t *testing.T) {
+		assertSameAcrossWorkers(t, "scanner-refute", lexapp.Scanner(), concolic.ModeHigherOrder,
+			search.Options{MaxRuns: 60, Refute: true}, false)
+	})
 	t.Run("lexer-dart-sound", func(t *testing.T) {
 		assertSameAcrossWorkers(t, "lexer-dart-sound", lexapp.Lexer(), concolic.ModeSound,
 			search.Options{MaxRuns: 60}, false)

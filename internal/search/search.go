@@ -86,12 +86,6 @@ type Options struct {
 	// is built from. The callback runs synchronously on the coordinator;
 	// keep it cheap.
 	OnRun func(RunRecord)
-	// NoIncrementalSMT disables solver sessions everywhere in the pipeline:
-	// the prover falls back to one-shot smt.Solve calls and the
-	// satisfiability path drops its per-worker sessions. Results are
-	// bit-identical either way (the equivalence gate in the tests depends on
-	// it); the flag exists for ablations and for isolating solver regressions.
-	NoIncrementalSMT bool
 }
 
 // item is one unit of search work: an input to execute, with the trace
@@ -187,11 +181,6 @@ func Run(eng *concolic.Engine, opts Options) *Stats {
 				s.varBounds[v.ID] = b
 			}
 		}
-	}
-	if !opts.NoIncrementalSMT {
-		// Allocated here, on the coordinator, so workers only ever touch
-		// their own slot (satSession's lazy per-slot creation is race-free).
-		s.satSessions = make([]*smt.Context, opts.Workers)
 	}
 	if opts.Restore != nil {
 		// Resume: the queues, dedup sets, cache, statistics, and sample
@@ -365,26 +354,8 @@ type searcher struct {
 	// so a broken sink is reported once, not once per cadence.
 	lastCkpt   int
 	ckptFailed bool
-	// satSessions holds one exact-mode solver session per worker for the
-	// satisfiability path (indexed by worker, created lazily, confined to
-	// that worker's goroutine). Nil when Options.NoIncrementalSMT is set.
-	satSessions []*smt.Context
 	// live publishes in-flight progress gauges for /statusz; see live.go.
 	live liveGauges
-}
-
-// satSession returns (creating on first use) the given worker's solver
-// session, or nil when incremental solving is disabled.
-func (s *searcher) satSession(worker int) *smt.Context {
-	if s.satSessions == nil {
-		return nil
-	}
-	if s.satSessions[worker] == nil {
-		s.satSessions[worker] = smt.NewContext(smt.ContextOptions{
-			Options: smt.Options{Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs},
-		})
-	}
-	return s.satSessions[worker]
 }
 
 // canceled reports whether the search context has fired. Safe from workers.
@@ -883,14 +854,13 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 			}
 		}()
 		t.strategy, t.outcome = fol.ProveCore(t.alt, s.eng.Samples, fol.Options{
-			Pool:             s.eng.Pool,
-			VarBounds:        s.varBounds,
-			NoRefute:         !s.opts.Refute,
-			MaxNodes:         s.opts.ProverNodes,
-			Obs:              s.obs,
-			Ctx:              s.ctx,
-			Deadline:         s.proofDeadline(t0),
-			NoIncrementalSMT: s.opts.NoIncrementalSMT,
+			Pool:      s.eng.Pool,
+			VarBounds: s.varBounds,
+			NoRefute:  !s.opts.Refute,
+			MaxNodes:  s.opts.ProverNodes,
+			Obs:       s.obs,
+			Ctx:       s.ctx,
+			Deadline:  s.proofDeadline(t0),
 		})
 	}
 	s.parallelDo(len(todo), func(i, worker int) {
@@ -1012,18 +982,10 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 	s.parallelDo(len(todo), func(i, worker int) {
 		t := todo[i]
 		t0 := time.Now()
-		if ses := s.satSession(worker); ses != nil {
-			// Exact-mode sessions answer bit-identically to a fresh Solve, so
-			// which worker (and hence which session) serves a target cannot
-			// influence the result; only the shared Ackermann expansion and
-			// interned structure are reused across a worker's targets.
-			t.status, t.model = ses.SolveUnder(t.alt, s.ctx, s.proofDeadline(t0))
-		} else {
-			t.status, t.model = smt.Solve(t.alt, smt.Options{
-				Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
-				Ctx: s.ctx, Deadline: s.proofDeadline(t0),
-			})
-		}
+		t.status, t.model = smt.Solve(t.alt, smt.Options{
+			Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
+			Ctx: s.ctx, Deadline: s.proofDeadline(t0),
+		})
 		t.worker, t.start, t.dur = worker, t0, time.Since(t0)
 		atomic.AddInt64(&s.solveNanos, int64(t.dur))
 		s.stats.ProofsPerWorker[worker]++

@@ -282,3 +282,29 @@ func TestProveTotalsPinned(t *testing.T) {
 		t.Fatalf("fol.prove calls, nodes, proved = %v, want %v", got, want)
 	}
 }
+
+// TestPhaseTreeSMTIsSolveTime checks that the phase tree's smt row is the
+// solver's own time: on a refuting search, where the prover's residual
+// solves and the warm refuter's checks both run, the smt node's total is
+// exactly the smt.solve.ns histogram's sum, with no check counted twice.
+// The scanner's refuted formulas hold applications, so they reach the warm
+// refuter (smt.FirstUnsat).
+func TestPhaseTreeSMTIsSolveTime(t *testing.T) {
+	o, _ := tracedRun(lexapp.Scanner(), concolic.ModeHigherOrder, search.Options{MaxRuns: 60, Refute: true}, 1)
+	if o.Metrics.Get("fol.refute.calls") == 0 {
+		t.Fatal("the search made no refutation attempt")
+	}
+	var solveSum int64
+	for _, m := range o.Metrics.Snapshot() {
+		if m.Name == "smt.solve.ns" {
+			solveSum = m.Sum
+		}
+	}
+	if solveSum == 0 {
+		t.Fatal("smt.solve.ns is empty")
+	}
+	fol := obs.PhaseTree(o.Metrics).Children[1]
+	if smt := fol.Children[0]; smt.Name != "smt" || smt.Total != time.Duration(solveSum) {
+		t.Fatalf("smt node %s total %v, want smt.solve.ns sum %v", smt.Name, smt.Total, time.Duration(solveSum))
+	}
+}

@@ -90,85 +90,3 @@ func Ackermannize(e sym.Expr, pool *sym.Pool) *AckermannResult {
 	res.Consistency = sym.AndExpr(side...)
 	return res
 }
-
-// ackState carries Ackermann expansion state across the checks of one solver
-// session: stand-in variables and functional-consistency side conditions are
-// allocated once per application (pair) and reused by every later check that
-// mentions it. Reuse is sound and exact because the reduction's output
-// depends only on which stand-in variable represents which application key —
-// never on the numeric IDs of those variables (see sym.Pool's documentation)
-// — so a check on formula f produces the same verdict and witness structure
-// whether the stand-ins are freshly allocated or session-cached.
-type ackState struct {
-	pool     *sym.Pool
-	appVars  map[string]*sym.Var
-	apps     map[string]*sym.Apply
-	pairMemo map[string]sym.Expr // "key1|key2" → consistency implication
-}
-
-func newAckState(pool *sym.Pool) *ackState {
-	return &ackState{
-		pool:     pool,
-		appVars:  make(map[string]*sym.Var),
-		apps:     make(map[string]*sym.Apply),
-		pairMemo: make(map[string]sym.Expr),
-	}
-}
-
-// reduce ackermannizes e against the session cache. It returns the rewritten
-// formula conjoined with the consistency conditions for the applications of
-// *this* formula (matching what Ackermannize would build), plus the stand-in
-// variables for exactly those applications, for witness extraction.
-func (st *ackState) reduce(e sym.Expr) (sym.Expr, map[string]*sym.Var) {
-	cur := make(map[string]*sym.Var)
-	var curKeys []string
-	repl := func(a *sym.Apply) (*sym.Sum, bool) {
-		key := a.Key()
-		v, ok := st.appVars[key]
-		if !ok {
-			v = st.pool.NewVar("$" + a.Fn.Name)
-			st.appVars[key] = v
-			st.apps[key] = a
-		}
-		if _, seen := cur[key]; !seen {
-			cur[key] = v
-			curKeys = append(curKeys, key)
-		}
-		return sym.VarTerm(v), true
-	}
-	formula := sym.RewriteApplies(e, repl)
-
-	sort.Strings(curKeys)
-	standIn := func(x *sym.Apply) (*sym.Sum, bool) {
-		if v, ok := st.appVars[x.Key()]; ok {
-			return sym.VarTerm(v), true
-		}
-		return nil, false
-	}
-	var side []sym.Expr
-	for i := 0; i < len(curKeys); i++ {
-		for j := i + 1; j < len(curKeys); j++ {
-			a, b := st.apps[curKeys[i]], st.apps[curKeys[j]]
-			if a.Fn != b.Fn {
-				continue
-			}
-			pk := curKeys[i] + "|" + curKeys[j]
-			imp, ok := st.pairMemo[pk]
-			if !ok {
-				eqArgs := make([]sym.Expr, len(a.Args))
-				for k := range a.Args {
-					la := sym.RewriteAppliesSum(a.Args[k], standIn)
-					lb := sym.RewriteAppliesSum(b.Args[k], standIn)
-					eqArgs[k] = sym.Eq(la, lb)
-				}
-				imp = sym.Implies(
-					sym.AndExpr(eqArgs...),
-					sym.Eq(sym.VarTerm(st.appVars[curKeys[i]]), sym.VarTerm(st.appVars[curKeys[j]])),
-				)
-				st.pairMemo[pk] = imp
-			}
-			side = append(side, imp)
-		}
-	}
-	return sym.AndExpr(formula, sym.AndExpr(side...)), cur
-}

@@ -21,11 +21,11 @@ type compiler struct {
 	trueLit Lit
 	hasTrue bool
 
-	// Journal of insertions, kept only when journaling is on (incremental
-	// sessions): popTo replays it backwards to drop frame-local state. Map
-	// entries reused by a later frame produce no new journal record, so they
-	// survive pops of that frame — which is right, since the SAT variables
-	// they map to predate the frame's mark.
+	// Journal of insertions, kept only when journaling is on (the warm
+	// refuter, FirstUnsat): popTo replays it backwards to drop a case's
+	// state. Map entries a case reuses from the base produce no new journal
+	// record, so they survive the pop — which is right, since the SAT
+	// variables they map to predate the mark.
 	journal bool
 	memoLog []string
 	atomLog []string

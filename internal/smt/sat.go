@@ -127,8 +127,8 @@ func (s *SAT) NewVar() int {
 
 // SavePhase toggles phase saving: with it on, branching reuses the last value
 // a variable held before a backtrack instead of always trying false first.
-// Incremental sessions enable it so sibling checks start from the previous
-// check's polarity; the one-shot path leaves it off.
+// The warm refuter (FirstUnsat) enables it so each case starts from the
+// previous case's polarity; the one-shot path leaves it off.
 func (s *SAT) SavePhase(on bool) { s.savePhase = on }
 
 // NumVars returns the number of propositional variables.
@@ -424,7 +424,7 @@ func (s *SAT) Solve() SATResult {
 func (s *SAT) Value(v int) bool { return s.assign[v] == lTrue }
 
 // Reset clears the search state but keeps accumulated knowledge. Its exact
-// post-Reset contract, which incremental sessions and the lazy theory loop
+// post-Reset contract, which the warm refuter and the lazy theory loop
 // both depend on (see TestSATResetContract):
 //
 //   - all clauses survive, original and learned alike;
@@ -443,8 +443,8 @@ func (s *SAT) Reset() {
 	s.cancelUntil(0)
 }
 
-// ResetSearch is Reset plus a fresh conflict budget. Incremental sessions use
-// it between Checks so each check gets the full budget, matching what a fresh
+// ResetSearch is Reset plus a fresh conflict budget. The warm refuter uses it
+// between cases so each check gets the full budget, matching what a fresh
 // solver would have been given.
 func (s *SAT) ResetSearch() {
 	s.cancelUntil(0)

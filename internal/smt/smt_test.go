@@ -522,3 +522,94 @@ func TestSolveUnknownPropagation(t *testing.T) {
 }
 
 func smtStatusSatAlias() Status { return StatusSat }
+
+// TestSATResetContract pins down the exact post-Reset contract documented on
+// SAT.Reset: clauses, activity, phases and level-0 facts survive; everything
+// above level 0 is unwound; the conflict counter is not reset. The one-shot
+// theory loop and the warm refuter both rely on it.
+func TestSATResetContract(t *testing.T) {
+	s := NewSAT(0)
+	s.SavePhase(true)
+	v := s.NewVar()
+	w := s.NewVar()
+	s.AddClause(MkLit(v, false))                // level-0 fact
+	s.AddClause(MkLit(v, true), MkLit(w, true)) // forces ¬w
+	// x must be true, which a false-first branch learns through a conflict,
+	// so activity and the conflict counter have moved before Reset.
+	x, y := s.NewVar(), s.NewVar()
+	s.AddClause(MkLit(x, false), MkLit(y, false))
+	s.AddClause(MkLit(x, false), MkLit(y, true))
+	if res := s.Solve(); res != SATSat {
+		t.Fatalf("expected SAT, got %v", res)
+	}
+	clausesBefore := s.NumClauses()
+	activityBefore := append([]float64(nil), s.activity...)
+	conflictsBefore := s.nConflicts
+	if conflictsBefore == 0 {
+		t.Fatal("the instance solved without a conflict; nothing for Reset to keep")
+	}
+
+	s.Reset()
+
+	if s.NumClauses() != clausesBefore {
+		t.Errorf("Reset dropped clauses: %d -> %d", clausesBefore, s.NumClauses())
+	}
+	if s.assign[v] != lTrue {
+		t.Errorf("Reset lost the level-0 fact on v: %v", s.assign[v])
+	}
+	for i, act := range s.activity {
+		if act != activityBefore[i] {
+			t.Errorf("Reset changed activity[%d]: %v -> %v", i, activityBefore[i], act)
+		}
+	}
+	if s.nConflicts != conflictsBefore {
+		t.Errorf("Reset cleared the conflict counter: %d -> %d", conflictsBefore, s.nConflicts)
+	}
+	// Re-solving after Reset succeeds and w keeps its saved phase usable.
+	if res := s.Solve(); res != SATSat {
+		t.Fatalf("re-solve after Reset: %v", res)
+	}
+	// ResetSearch additionally clears the conflict budget.
+	s.nConflicts = 17
+	s.ResetSearch()
+	if s.nConflicts != 0 {
+		t.Errorf("ResetSearch kept nConflicts=%d", s.nConflicts)
+	}
+}
+
+// TestSATPopToRetainsTheoryLemmas exercises Mark/PopTo directly: originals
+// past the mark disappear, theory lemmas over still-live variables survive,
+// CDCL-learned clauses past the mark are dropped.
+func TestSATPopToRetainsTheoryLemmas(t *testing.T) {
+	s := NewSAT(0)
+	a, b := s.NewVar(), s.NewVar()
+	s.AddClause(MkLit(a, false), MkLit(b, false))
+	m := s.Mark()
+
+	c := s.NewVar()
+	s.AddClause(MkLit(c, false), MkLit(a, true)) // frame-local original
+	if !s.AddTheoryLemma(MkLit(a, true), MkLit(b, true)) {
+		t.Fatal("lemma over live vars rejected")
+	}
+	if !s.AddTheoryLemma(MkLit(c, true), MkLit(b, true)) {
+		t.Fatal("lemma over frame var rejected")
+	}
+
+	retained := s.PopTo(m)
+	if retained != 1 {
+		t.Fatalf("retained %d lemmas, want 1 (the a∨b lemma)", retained)
+	}
+	if s.NumVars() != 2 {
+		t.Fatalf("NumVars=%d after pop, want 2", s.NumVars())
+	}
+	if s.NumClauses() != 2 { // original + retained lemma
+		t.Fatalf("NumClauses=%d after pop, want 2", s.NumClauses())
+	}
+	// The surviving formula is (a∨b) ∧ (¬a∨¬b): still satisfiable.
+	if res := s.Solve(); res != SATSat {
+		t.Fatalf("post-pop solve: %v", res)
+	}
+	if s.Value(a) == s.Value(b) {
+		t.Fatalf("model violates retained lemma: a=%v b=%v", s.Value(a), s.Value(b))
+	}
+}

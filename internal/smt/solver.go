@@ -112,14 +112,6 @@ func Solve(f sym.Expr, opts Options) (Status, *Model) {
 }
 
 func solve(f sym.Expr, opts Options) (Status, *Model) {
-	return solveWith(f, opts, nil)
-}
-
-// solveWith is the solve engine shared by the one-shot path (ack == nil) and
-// incremental sessions in exact mode (ack carries the session's Ackermann
-// expansion cache). Apart from where stand-in variables come from, the two
-// paths execute identically.
-func solveWith(f sym.Expr, opts Options, ack *ackState) (Status, *Model) {
 	o := opts.Obs
 	// Fast path: purely equational conjunctions are decided by congruence
 	// closure directly (euf.go). Only the unsat verdict short-circuits —
@@ -148,37 +140,20 @@ func solveWith(f sym.Expr, opts Options, ack *ackState) (Status, *Model) {
 	// variable's value with the invented function's table.
 	origVars := sym.Vars(f)
 	if sym.HasApply(f) {
-		if ack != nil {
-			reduced, cur := ack.reduce(f)
-			if o.Enabled() {
-				o.Counter("smt.ackermann.apps").Add(int64(len(cur)))
-			}
-			f = reduced
-			appVars = cur
-			for k := range cur {
-				apps[k] = ack.apps[k]
-			}
-		} else {
-			if opts.Pool == nil {
-				panic("smt: formula contains uninterpreted applications but Options.Pool is nil")
-			}
-			ar := Ackermannize(f, opts.Pool)
-			if o.Enabled() {
-				o.Counter("smt.ackermann.apps").Add(int64(len(ar.AppVars)))
-				o.Counter("smt.ackermann.consistency").Add(int64(len(sym.Conjuncts(ar.Consistency))))
-			}
-			f = sym.AndExpr(ar.Formula, ar.Consistency)
-			appVars = ar.AppVars
-			apps = ar.Apps
+		if opts.Pool == nil {
+			panic("smt: formula contains uninterpreted applications but Options.Pool is nil")
 		}
+		ar := Ackermannize(f, opts.Pool)
+		if o.Enabled() {
+			o.Counter("smt.ackermann.apps").Add(int64(len(ar.AppVars)))
+			o.Counter("smt.ackermann.consistency").Add(int64(len(sym.Conjuncts(ar.Consistency))))
+		}
+		f = sym.AndExpr(ar.Formula, ar.Consistency)
+		appVars = ar.AppVars
+		apps = ar.Apps
 	}
 
-	maxRounds := opts.MaxTheoryRounds
-	if maxRounds <= 0 {
-		maxRounds = 200
-	}
 	stop := opts.stopProbe()
-
 	sat := NewSAT(opts.MaxConflicts)
 	sat.SetStop(stop)
 	comp := newCompiler(sat)
@@ -201,6 +176,67 @@ func solveWith(f sym.Expr, opts Options, ack *ackState) (Status, *Model) {
 		comp.denseVar(v)
 	}
 
+	st, model := theoryLoop(sat, comp, opts, stop, sat.AddClause)
+	if st != StatusSat {
+		return st, nil
+	}
+	m := &Model{Vars: make(map[int]int64, len(model)), Funcs: funcs}
+	for i, v := range comp.varList {
+		m.Vars[v.ID] = model[i]
+	}
+	for key, av := range appVars {
+		if val, ok := m.Vars[av.ID]; ok {
+			m.Funcs[key] = val
+		}
+	}
+	// Concrete witness rows: the recorded applications are apply-free
+	// (nested applications already replaced by stand-ins), so each
+	// argument evaluates directly under the full assignment — which
+	// still includes the stand-in values at this point.
+	for key, a := range apps {
+		out, ok := m.Funcs[key]
+		if !ok || a == nil {
+			continue
+		}
+		args := make([]int64, len(a.Args))
+		for i, arg := range a.Args {
+			args[i] = evalSumUnder(arg, m.Vars)
+		}
+		m.FuncRows = append(m.FuncRows, FuncRow{Fn: a.Fn.Name, Args: args, Out: out})
+	}
+	sort.Slice(m.FuncRows, func(i, j int) bool {
+		a, b := m.FuncRows[i], m.FuncRows[j]
+		if a.Fn != b.Fn {
+			return a.Fn < b.Fn
+		}
+		for k := range a.Args {
+			if k >= len(b.Args) {
+				return false
+			}
+			if a.Args[k] != b.Args[k] {
+				return a.Args[k] < b.Args[k]
+			}
+		}
+		return len(a.Args) < len(b.Args)
+	})
+	for _, av := range appVars {
+		delete(m.Vars, av.ID)
+	}
+	return StatusSat, m
+}
+
+// theoryLoop is the lazy SAT↔theory loop over a compiled formula: solve the
+// boolean skeleton, check the inequalities its model asserts, and on a
+// theory conflict install the negation of a minimized core through block
+// (AddClause for a one-shot solve, AddTheoryLemma on the warm solver, so the
+// lemma survives pops). On StatusSat it returns the integer model, indexed
+// like comp.varList.
+func theoryLoop(sat *SAT, comp *compiler, opts Options, stop func() bool, block func(...Lit) bool) (Status, []int64) {
+	o := opts.Obs
+	maxRounds := opts.MaxTheoryRounds
+	if maxRounds <= 0 {
+		maxRounds = 200
+	}
 	nvars := len(comp.varList)
 	bounds := make([]Bound, nvars)
 	for i, v := range comp.varList {
@@ -240,49 +276,7 @@ func solveWith(f sym.Expr, opts Options, ack *ackState) (Status, *Model) {
 		}
 		switch st {
 		case StatusSat:
-			m := &Model{Vars: make(map[int]int64, nvars), Funcs: funcs}
-			for i, v := range comp.varList {
-				m.Vars[v.ID] = model[i]
-			}
-			for key, av := range appVars {
-				if val, ok := m.Vars[av.ID]; ok {
-					m.Funcs[key] = val
-				}
-			}
-			// Concrete witness rows: the recorded applications are apply-free
-			// (nested applications already replaced by stand-ins), so each
-			// argument evaluates directly under the full assignment — which
-			// still includes the stand-in values at this point.
-			for key, a := range apps {
-				out, ok := m.Funcs[key]
-				if !ok || a == nil {
-					continue
-				}
-				args := make([]int64, len(a.Args))
-				for i, arg := range a.Args {
-					args[i] = evalSumUnder(arg, m.Vars)
-				}
-				m.FuncRows = append(m.FuncRows, FuncRow{Fn: a.Fn.Name, Args: args, Out: out})
-			}
-			sort.Slice(m.FuncRows, func(i, j int) bool {
-				a, b := m.FuncRows[i], m.FuncRows[j]
-				if a.Fn != b.Fn {
-					return a.Fn < b.Fn
-				}
-				for k := range a.Args {
-					if k >= len(b.Args) {
-						return false
-					}
-					if a.Args[k] != b.Args[k] {
-						return a.Args[k] < b.Args[k]
-					}
-				}
-				return len(a.Args) < len(b.Args)
-			})
-			for _, av := range appVars {
-				delete(m.Vars, av.ID)
-			}
-			return StatusSat, m
+			return StatusSat, model
 		case StatusUnknown, StatusTimeout:
 			return st, nil
 		}
@@ -292,12 +286,12 @@ func solveWith(f sym.Expr, opts Options, ack *ackState) (Status, *Model) {
 		if stop != nil && stop() {
 			return StatusTimeout, nil
 		}
-		block := make([]Lit, 0, len(core))
+		clause := make([]Lit, 0, len(core))
 		for _, idx := range core {
-			block = append(block, lits[idx].Flip())
+			clause = append(clause, lits[idx].Flip())
 		}
 		sat.Reset()
-		if !sat.AddClause(block...) {
+		if !block(clause...) {
 			return StatusUnsat, nil
 		}
 	}
