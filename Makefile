@@ -81,7 +81,8 @@ bench:
 # retained theory lemma), so it cannot bit-rot between full benchmark runs;
 # and likewise the checkpoint save/load benchmarks (lexer snapshot at run 270,
 # reporting bytes per checkpoint). It also runs one 150-run E12 lexer search
-# with -benchmem, so every log shows a search's B/op and allocs/op.
+# with -benchmem, so every log shows a search's B/op and allocs/op, and its
+# proofs/op (the proofs the proof cache did not answer).
 bench-smoke:
 	$(GO) test ./internal/smt/ -run '^$$' -bench 'SolveIncrementalWarmRefute$$' -benchtime 1x
 	$(GO) test ./internal/campaign/ -run '^$$' -bench 'SaveCheckpoint|LoadCheckpoint' -benchtime 1x
