@@ -73,8 +73,9 @@ func Prove(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, Outc
 // OutcomeProved the returned strategy defines only the variables the proof
 // itself constrained. Because the fallback values are the only caller-specific
 // part of a proof, core strategies are reusable across callers — the parallel
-// search memoizes them keyed by the formula and the sample-store version, and
-// applies FillFallback per target.
+// search memoizes them keyed by the formula (and, where the samples can
+// change the verdict, the sample-store version), and applies FillFallback per
+// target.
 func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, Outcome) {
 	if f := faults.Active(); f != nil {
 		if f.FireProvePanic() {
@@ -116,6 +117,10 @@ func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, 
 		out = OutcomeTimeout
 	case !opts.NoRefute && Refute(pc, samples, opts):
 		out = OutcomeInvalid
+	case !opts.NoRefute && p.expired():
+		// The refutation ran out of wall clock: that is no verdict on the
+		// formula, and callers must not remember it as one.
+		out = OutcomeTimeout
 	}
 	if o.Enabled() {
 		o.Histogram("fol.prove.ns").Observe(int64(time.Since(t0)))

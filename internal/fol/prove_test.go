@@ -111,30 +111,7 @@ func TestStrategySoundnessProperty(t *testing.T) {
 				samples.Add(h, []int64{arg}, out)
 			}
 		}
-		term := func() *sym.Sum {
-			switch r.Intn(4) {
-			case 0:
-				return sym.Int(int64(r.Intn(11) - 5))
-			case 1, 2:
-				return sym.VarTerm(vars[r.Intn(len(vars))])
-			default:
-				return sym.ApplyTerm(h, sym.VarTerm(vars[r.Intn(len(vars))]))
-			}
-		}
-		n := 1 + r.Intn(3)
-		parts := make([]sym.Expr, 0, n)
-		for i := 0; i < n; i++ {
-			a, b := term(), term()
-			switch r.Intn(3) {
-			case 0:
-				parts = append(parts, sym.Eq(a, b))
-			case 1:
-				parts = append(parts, sym.Ne(a, b))
-			default:
-				parts = append(parts, sym.Le(a, b))
-			}
-		}
-		pc := sym.AndExpr(parts...)
+		pc := randomPC(r, vars, h, true)
 		fb := map[int]int64{vars[0].ID: int64(r.Intn(10)), vars[1].ID: int64(r.Intn(10))}
 		st, out := Prove(pc, samples, Options{Pool: &p, Fallback: fb, NoRefute: true})
 		if out != OutcomeProved {
@@ -151,6 +128,88 @@ func TestStrategySoundnessProperty(t *testing.T) {
 		if !holds {
 			t.Fatalf("iter %d: proved strategy %v yields a non-witness %v for %v",
 				iter, st, res.Values, pc)
+		}
+	}
+}
+
+// randomPC draws a conjunction of one to three comparisons between small
+// constants, variables of vars and, if applies is set, applications of h to
+// them; without applies, a variable is drawn where an application would be.
+func randomPC(r *rand.Rand, vars []*sym.Var, h *sym.Func, applies bool) sym.Expr {
+	term := func() *sym.Sum {
+		switch r.Intn(4) {
+		case 0:
+			return sym.Int(int64(r.Intn(11) - 5))
+		case 1, 2:
+			return sym.VarTerm(vars[r.Intn(len(vars))])
+		default:
+			v := sym.VarTerm(vars[r.Intn(len(vars))])
+			if !applies {
+				return v
+			}
+			return sym.ApplyTerm(h, v)
+		}
+	}
+	n := 1 + r.Intn(3)
+	parts := make([]sym.Expr, 0, n)
+	for i := 0; i < n; i++ {
+		a, b := term(), term()
+		switch r.Intn(3) {
+		case 0:
+			parts = append(parts, sym.Eq(a, b))
+		case 1:
+			parts = append(parts, sym.Ne(a, b))
+		default:
+			parts = append(parts, sym.Le(a, b))
+		}
+	}
+	return sym.AndExpr(parts...)
+}
+
+// TestApplyFreeVerdictIgnoresSamples: ProveCore gives a formula without
+// applications the same outcome, strategy and proof whatever the sample
+// store holds, with the refutation pass on and off. The search's proof cache
+// relies on this to keep every verdict of such a formula across sample-store
+// versions.
+func TestApplyFreeVerdictIgnoresSamples(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	seen := map[Outcome]int{}
+	for iter := 0; iter < 300; iter++ {
+		var p sym.Pool
+		vars := []*sym.Var{p.NewVar("x"), p.NewVar("y")}
+		h := p.FuncSym("h", 1)
+		full := sym.NewSampleStore()
+		for i := int64(0); i < 6; i++ {
+			full.Add(h, []int64{i}, int64(r.Intn(10)))
+		}
+		pc := randomPC(r, vars, h, false)
+		if sym.HasApply(pc) {
+			t.Fatalf("iter %d: apply-free draw %v has an application", iter, pc)
+		}
+		for _, noRefute := range []bool{true, false} {
+			opts := Options{Pool: &p, NoRefute: noRefute}
+			st0, out0 := ProveCore(pc, sym.NewSampleStore(), opts)
+			st1, out1 := ProveCore(pc, full, opts)
+			if out0 != out1 {
+				t.Fatalf("iter %d, NoRefute=%v: %v is %v with no samples, %v with %d",
+					iter, noRefute, pc, out0, out1, full.Len())
+			}
+			seen[out0]++
+			if (st0 == nil) != (st1 == nil) {
+				t.Fatalf("iter %d, NoRefute=%v: %v: strategy %v with no samples, %v with samples", iter, noRefute, pc, st0, st1)
+			}
+			if st0 == nil {
+				continue
+			}
+			if st0.String() != st1.String() || fmt.Sprint(st0.Proof) != fmt.Sprint(st1.Proof) {
+				t.Fatalf("iter %d, NoRefute=%v: %v: strategy %q (proof %v) with no samples, %q (proof %v) with samples",
+					iter, noRefute, pc, st0, st0.Proof, st1, st1.Proof)
+			}
+		}
+	}
+	for _, out := range []Outcome{OutcomeProved, OutcomeUnknown, OutcomeInvalid} {
+		if seen[out] == 0 {
+			t.Errorf("no draw came out %v (outcomes %v); the property is not exercised", out, seen)
 		}
 	}
 }

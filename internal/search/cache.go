@@ -1,7 +1,9 @@
 package search
 
 import (
+	"fmt"
 	"strconv"
+	"strings"
 
 	"hotg/internal/fol"
 	"hotg/internal/smt"
@@ -13,21 +15,46 @@ import (
 // constraint reached through different prefixes slices to the same ALT
 // formula, and re-expansions after divergences re-derive earlier targets.
 //
-// Higher-order entries are keyed by sample-store version as well as formula:
-// a validity proof of POST(pc) is constructed *from* the IOF samples, so the
-// same formula can be unprovable before an intermediate run and provable
-// after it. The store only grows (monotone), and it is frozen while an
-// expansion's proofs are in flight, so Len() is a sound version stamp.
-// Satisfiability entries need no version: the solver never reads samples.
+// A validity proof of POST(pc) = ∃X: A ⇒ pc is built from the IOF samples A,
+// so in general the same formula can be unprovable before an intermediate run
+// and provable after it. Higher-order entries are therefore keyed on the
+// formula and a sample-store version, except where the samples cannot change
+// the verdict; such entries use the sentinel version anyVersion and hold at
+// every version. Two rules say when:
+//
+//   - A formula without an uninterpreted application never reads the store:
+//     the prover consults samples only to bind applications, and refuting an
+//     apply-free formula is a single satisfiability check. Every cacheable
+//     verdict of such a formula is stored under anyVersion.
+//   - Validity is monotone in A: the store only grows, and more consistent
+//     samples only strengthen the antecedent. A Proved verdict therefore
+//     stays proved at every later version and is stored under anyVersion.
+//
+// Unknown and Invalid verdicts of formulas with applications stay keyed on
+// the version they were proved at. Timed-out and panicked proofs are never
+// cached. The store is frozen while an expansion's proofs are in flight, so
+// Len() is a sound version stamp. Satisfiability entries need no version: the
+// solver never reads samples.
 //
 // Only the coordinator goroutine reads or writes the cache (workers receive
 // the already-filtered miss list), so it needs no lock. Cached strategies are
 // shared across targets; consumers copy-on-extend (fol.FillFallback) rather
 // than mutate.
 type proofCache struct {
-	prove map[string]proveEntry
+	prove map[proveKey]proveEntry
 	solve map[string]solveEntry
 }
+
+// proveKey keys a higher-order entry: the formula's canonical string and the
+// sample-store version the verdict holds at, or anyVersion.
+type proveKey struct {
+	formula string
+	version int
+}
+
+// anyVersion is the version of an entry that holds at every sample-store
+// version.
+const anyVersion = -1
 
 type proveEntry struct {
 	strategy *fol.Strategy
@@ -41,7 +68,7 @@ type solveEntry struct {
 
 func newProofCache() *proofCache {
 	return &proofCache{
-		prove: make(map[string]proveEntry),
+		prove: make(map[proveKey]proveEntry),
 		solve: make(map[string]solveEntry),
 	}
 }
@@ -49,10 +76,61 @@ func newProofCache() *proofCache {
 // size returns the total number of live entries across both maps.
 func (c *proofCache) size() int { return len(c.prove) + len(c.solve) }
 
-// proveKey is the higher-order cache key: sample-store version plus the
-// formula's canonical string. Calling Key() here (on the coordinator, before
-// fan-out) also memoizes the key fields of every shared subterm, so workers
-// only ever read them.
-func proveKey(alt sym.Expr, version int) string {
-	return strconv.Itoa(version) + "|" + alt.Key()
+// proveKeyOf returns the key alt's verdict is looked up under at the given
+// store version: anyVersion if alt has no application. Calling Key() here (on
+// the coordinator, before fan-out) also memoizes the key fields of every
+// shared subterm, so workers only ever read them.
+func proveKeyOf(alt sym.Expr, version int) proveKey {
+	if !sym.HasApply(alt) {
+		version = anyVersion
+	}
+	return proveKey{formula: alt.Key(), version: version}
+}
+
+// lookupProve returns the verdict cached for k's formula at k's version,
+// preferring one that holds at every version.
+func (c *proofCache) lookupProve(k proveKey) (proveEntry, bool) {
+	if e, ok := c.prove[proveKey{formula: k.formula, version: anyVersion}]; ok {
+		return e, true
+	}
+	if k.version == anyVersion {
+		return proveEntry{}, false
+	}
+	e, ok := c.prove[k]
+	return e, ok
+}
+
+// storeProve caches a verdict found under key k; a Proved verdict is stored
+// for every version.
+func (c *proofCache) storeProve(k proveKey, e proveEntry) {
+	if e.outcome == fol.OutcomeProved {
+		k.version = anyVersion
+	}
+	c.prove[k] = e
+}
+
+// String renders the key as a checkpoint writes it: "v|formula", or
+// "*|formula" for anyVersion.
+func (k proveKey) String() string {
+	if k.version == anyVersion {
+		return "*|" + k.formula
+	}
+	return strconv.Itoa(k.version) + "|" + k.formula
+}
+
+// parseProveKey is String's inverse. It accepts only what String writes, so a
+// decoded key re-encodes byte for byte.
+func parseProveKey(s string) (proveKey, error) {
+	v, formula, ok := strings.Cut(s, "|")
+	if !ok || formula == "" {
+		return proveKey{}, fmt.Errorf("search: malformed prove cache key %q: want \"version|formula\"", s)
+	}
+	if v == "*" {
+		return proveKey{formula: formula, version: anyVersion}, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 || strconv.Itoa(n) != v {
+		return proveKey{}, fmt.Errorf("search: malformed prove cache key %q: version %q is neither \"*\" nor a canonical count", s, v)
+	}
+	return proveKey{formula: formula, version: n}, nil
 }

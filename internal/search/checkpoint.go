@@ -450,7 +450,7 @@ func (s *Stats) Canonical() ([]byte, error) {
 	return json.Marshal(rec)
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -619,25 +619,19 @@ func (s *searcher) snapshot() (*Snapshot, error) {
 	if snap.Cold, err = encodeItems(s.cold); err != nil {
 		return nil, err
 	}
-	proveKeys := make([]string, 0, len(s.cache.prove))
+	proveKeys := make(map[string]proveKey, len(s.cache.prove))
 	for k := range s.cache.prove {
-		proveKeys = append(proveKeys, k)
+		proveKeys[k.String()] = k
 	}
-	sort.Strings(proveKeys)
-	for _, k := range proveKeys {
-		e := s.cache.prove[k]
+	for _, ks := range sortedKeys(proveKeys) {
+		e := s.cache.prove[proveKeys[ks]]
 		strat, err := fol.EncodeStrategy(e.strategy)
 		if err != nil {
 			return nil, err
 		}
-		snap.Prove = append(snap.Prove, proveRec{Key: k, Outcome: e.outcome.String(), Strategy: strat})
+		snap.Prove = append(snap.Prove, proveRec{Key: ks, Outcome: e.outcome.String(), Strategy: strat})
 	}
-	solveKeys := make([]string, 0, len(s.cache.solve))
-	for k := range s.cache.solve {
-		solveKeys = append(solveKeys, k)
-	}
-	sort.Strings(solveKeys)
-	for _, k := range solveKeys {
+	for _, k := range sortedKeys(s.cache.solve) {
 		e := s.cache.solve[k]
 		snap.Solve = append(snap.Solve, solveRec{Key: k, Status: e.status.String(), Model: e.model})
 	}
@@ -678,6 +672,10 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 	}
 	s.tried, s.targeted = snap.Tried.set(), snap.Targeted.set()
 	for _, rec := range snap.Prove {
+		key, err := parseProveKey(rec.Key)
+		if err != nil {
+			return err
+		}
 		outcome, ok := fol.ParseOutcome(rec.Outcome)
 		if !ok {
 			return fmt.Errorf("search: prove cache entry %q has unknown outcome %q", rec.Key, rec.Outcome)
@@ -686,7 +684,7 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("search: prove cache entry %q: %w", rec.Key, err)
 		}
-		s.cache.prove[rec.Key] = proveEntry{strategy: strat, outcome: outcome}
+		s.cache.prove[key] = proveEntry{strategy: strat, outcome: outcome}
 	}
 	for _, rec := range snap.Solve {
 		status, ok := smt.ParseStatus(rec.Status)

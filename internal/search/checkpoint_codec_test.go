@@ -243,3 +243,94 @@ func TestCheckpointFormat3Compat(t *testing.T) {
 		t.Errorf("uninterrupted search has canonical digest %s, want %s", sum, format3Canonical)
 	}
 }
+
+// TestProveKeyParse: both kinds of prove cache key parse back to the key
+// that wrote them, and a malformed key is an error that names it.
+func TestProveKeyParse(t *testing.T) {
+	for _, k := range []proveKey{
+		{formula: "(x0 = 0)", version: 0},
+		{formula: "(x0 = 0)", version: 41},
+		{formula: "(and (x0 <= 0) (h(x1) = 3))", version: anyVersion},
+		{formula: "a|b", version: 7},
+	} {
+		got, err := parseProveKey(k.String())
+		if err != nil || got != k {
+			t.Errorf("parseProveKey(%q) = %+v, %v; want %+v", k.String(), got, err, k)
+		}
+	}
+	for _, bad := range []string{"", "(x0 = 0)", "|f", "*|", "3|", "x|f", "-1|f", "01|f", "+1|f", "**|f"} {
+		if k, err := parseProveKey(bad); err == nil {
+			t.Errorf("parseProveKey(%q) = %+v, want an error", bad, k)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("parseProveKey(%q) error %q does not name the key", bad, err)
+		}
+	}
+}
+
+// TestProveCacheKeysRoundTrip: a lexer snapshot holds prove cache entries of
+// both kinds, version-keyed ("v|formula") and version-free ("*|formula");
+// restoring it rebuilds the same keys, and the restored searcher snapshots to
+// the same bytes. A snapshot with a malformed key is rejected, naming it.
+func TestProveCacheKeysRoundTrip(t *testing.T) {
+	w, _ := lexapp.Get("lexer")
+	var last *Snapshot
+	Run(concolic.New(w.Build(), concolic.ModeHigherOrder), Options{
+		MaxRuns: 60, Seeds: w.Seeds, Bounds: w.Bounds, Workers: 1,
+		Checkpoint: CheckpointOptions{Every: 30, Sink: func(s *Snapshot) error { last = s; return nil }},
+	})
+	if last == nil {
+		t.Fatal("no checkpoint taken")
+	}
+	raw, err := json.Marshal(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[bool]int{}
+	for _, rec := range snap.Prove {
+		kinds[strings.HasPrefix(rec.Key, "*|")]++
+	}
+	if kinds[true] == 0 || kinds[false] == 0 {
+		t.Fatalf("snapshot holds %d version-free and %d version-keyed prove entries; want both kinds", kinds[true], kinds[false])
+	}
+
+	eng := concolic.New(w.Build(), concolic.ModeHigherOrder)
+	s := &searcher{eng: eng, opts: Options{MaxRuns: snap.MaxRuns}, stats: newStats(eng.Mode.String(), eng.Prog.NumBranches), cache: newProofCache()}
+	if err := s.restoreSnapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.cache.prove) != len(snap.Prove) {
+		t.Fatalf("restored %d prove entries from %d records", len(s.cache.prove), len(snap.Prove))
+	}
+	for _, rec := range snap.Prove {
+		k, err := parseProveKey(rec.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.cache.prove[k]; !ok {
+			t.Errorf("record %q restored under another key", rec.Key)
+		}
+	}
+	again, err := s.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, raw) {
+		t.Error("restored snapshot re-encodes differently")
+	}
+
+	bad := snap
+	bad.Prove = append([]proveRec(nil), snap.Prove...)
+	bad.Prove[0].Key = "v1|" + bad.Prove[0].Key
+	err = bad.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad.Prove[0].Key)) {
+		t.Errorf("snapshot with malformed key %q: Validate error %v, want one naming the key", bad.Prove[0].Key, err)
+	}
+}

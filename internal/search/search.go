@@ -722,8 +722,11 @@ type target struct {
 	alt sym.Expr
 	// k indexes the negated constraint in the execution's path constraint;
 	// ex.Prediction(k) is the target's trace prediction.
-	k        int
-	cacheKey string
+	k int
+	// key is the cache key: the formula's canonical string and, for a
+	// validity proof, the store version it is looked up at (proveKeyOf).
+	// The satisfiability cache reads key.formula alone.
+	key proveKey
 	// Higher-order result: core strategy (no fallback defs) and outcome.
 	strategy *fol.Strategy
 	outcome  fol.Outcome
@@ -833,8 +836,8 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 	}
 	var todo []*target
 	for _, t := range targets {
-		t.cacheKey = proveKey(t.alt, version)
-		if e, ok := s.cache.prove[t.cacheKey]; ok {
+		t.key = proveKeyOf(t.alt, version)
+		if e, ok := s.cache.lookupProve(t.key); ok {
 			t.strategy, t.outcome, t.fromCache = e.strategy, e.outcome, true
 			if s.shouldDegrade(t.outcome, false) {
 				todo = append(todo, t)
@@ -886,14 +889,14 @@ func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execu
 		// one fan-out sharing a formula are proved twice concurrently; the
 		// second is still accounted as a hit, its duplicate result dropped.)
 		cached := "miss"
-		if e, ok := s.cache.prove[t.cacheKey]; ok {
+		if e, ok := s.cache.lookupProve(t.key); ok {
 			cached = "hit"
 			s.stats.ProofCacheHits++
 			t.strategy, t.outcome = e.strategy, e.outcome
 		} else {
 			s.stats.ProofCacheMisses++
 			if t.outcome != fol.OutcomeTimeout && !t.panicked {
-				s.cache.prove[t.cacheKey] = proveEntry{strategy: t.strategy, outcome: t.outcome}
+				s.cache.storeProve(t.key, proveEntry{strategy: t.strategy, outcome: t.outcome})
 			}
 		}
 		s.stats.ProverCalls++
@@ -972,8 +975,8 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 	fallback := ex.Input
 	var todo []*target
 	for _, t := range targets {
-		t.cacheKey = t.alt.Key()
-		if _, ok := s.cache.solve[t.cacheKey]; ok {
+		t.key = proveKey{formula: t.alt.Key()}
+		if _, ok := s.cache.solve[t.key.formula]; ok {
 			t.done = true // a selection-time hit, read back when accounted
 		} else {
 			todo = append(todo, t)
@@ -993,12 +996,12 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 	})
 	for _, t := range targets {
 		if !t.done {
-			if _, ok := s.cache.solve[t.cacheKey]; !ok {
+			if _, ok := s.cache.solve[t.key.formula]; !ok {
 				continue // cancelled before this target's turn
 			}
 		}
 		cached := "miss"
-		if e, ok := s.cache.solve[t.cacheKey]; ok {
+		if e, ok := s.cache.solve[t.key.formula]; ok {
 			cached = "hit"
 			s.stats.ProofCacheHits++
 			t.status, t.model = e.status, e.model
@@ -1007,7 +1010,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 			// A timed-out query is not cached: the verdict records wall-clock
 			// exhaustion, not a property of the formula.
 			if t.status != smt.StatusTimeout {
-				s.cache.solve[t.cacheKey] = solveEntry{status: t.status, model: t.model}
+				s.cache.solve[t.key.formula] = solveEntry{status: t.status, model: t.model}
 			}
 		}
 		if t.status == smt.StatusTimeout {
