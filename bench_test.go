@@ -103,11 +103,15 @@ func BenchmarkVMLexer(b *testing.B) {
 }
 
 // BenchmarkConcolicRunLexer measures one higher-order concolic execution of
-// the lexer (concrete + symbolic + sampling).
+// the lexer (concrete + symbolic + sampling). Input-independent values build
+// no terms, so its allocs/op count only the input-dependent work (the
+// symbolic terms, samples and the run's result) and stay flat in the length
+// of the concrete loops.
 func BenchmarkConcolicRunLexer(b *testing.B) {
 	w := lexapp.Lexer()
 	eng := concolic.New(w.Build(), concolic.ModeHigherOrder)
 	in := lexapp.JunkSeed()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := eng.Run(in)

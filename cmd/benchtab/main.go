@@ -10,6 +10,7 @@
 //	benchtab E12 E13         # selected experiments only
 //	benchtab -json E12       # machine-readable results on stdout
 //	benchtab -proof-timeout 5ms -degrade A4   # budgeted runs (see DESIGN.md §8)
+//	benchtab -workers 1      # every search at one worker, as results_full.txt was captured
 //	benchtab -diff old.json new.json          # perf-regression gate over two -json files
 //	benchtab -diff -threshold 0.10 old.json new.json
 //
@@ -75,6 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut  = fs.Bool("json", false, "emit one JSON array of results instead of rendered tables")
 		proofTmo = fs.Duration("proof-timeout", 0, "per-proof wall-clock deadline applied to every search (0 = unlimited)")
 		degrade  = fs.Bool("degrade", false, "degrade cut-short proofs down the precision ladder (DESIGN.md §8)")
+		workers  = fs.Int("workers", 0, "worker count of every search (0 = GOMAXPROCS)")
 		diffMode = fs.Bool("diff", false, "compare two -json result files (old new) and exit 1 on solver-time regression")
 		thresh   = fs.Float64("threshold", 0.25, "relative solve-time regression threshold for -diff (0.25 = 25%)")
 		minSecs  = fs.Float64("min-seconds", 0.05, "absolute noise floor for -diff: deltas below this many seconds never regress")
@@ -93,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	baseCfg := hotg.ExperimentConfig{
 		Quick: *quick, Budget: *budget, Seed: *seed,
-		ProofTimeout: *proofTmo, Degrade: *degrade,
+		ProofTimeout: *proofTmo, Degrade: *degrade, Workers: *workers,
 	}
 
 	selected := fs.Args()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,6 +19,24 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	var out, errb bytes.Buffer
 	code := run(args, &out, &errb)
 	return code, out.String(), errb.String()
+}
+
+// TestWorkersFlag checks that -workers reaches every search an experiment
+// runs: a quick E1 at -workers 1 reports one worker, and at -workers 3 three.
+func TestWorkersFlag(t *testing.T) {
+	for _, n := range []float64{1, 3} {
+		code, out, stderr := runCLI(t, "-quick", "-json", "-workers", fmt.Sprint(n), "E1")
+		if code != 0 {
+			t.Fatalf("-workers %v: benchtab exited %d\nstderr: %s", n, code, stderr)
+		}
+		var results []map[string]any
+		if err := json.Unmarshal([]byte(out), &results); err != nil || len(results) != 1 {
+			t.Fatalf("-workers %v: want one JSON result, got %q (%v)", n, out, err)
+		}
+		if got := results[0]["workers"]; got != n {
+			t.Errorf("-workers %v: reported workers=%v", n, got)
+		}
+	}
 }
 
 // TestJSONShapeGolden pins the machine-readable interface of -json against a

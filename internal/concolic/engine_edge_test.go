@@ -1,6 +1,7 @@
 package concolic
 
 import (
+	"fmt"
 	"testing"
 
 	"hotg/internal/mini"
@@ -237,5 +238,38 @@ func TestExecutionInputCopied(t *testing.T) {
 	in[0] = 999
 	if ex.Input[0] != 33 {
 		t.Fatal("execution input aliased caller slice")
+	}
+}
+
+// raceEnabled reports a build with the race detector (see race_test.go).
+var raceEnabled bool
+
+// TestConcreteLoopAllocs checks that input-independent work costs no
+// allocation: a loop that only counts and moves array elements at constant
+// indices allocates as much at 4N iterations as at N.
+func TestConcreteLoopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled trace buffers at random")
+	}
+	const src = `
+fn main(x int) int {
+	var buf [4];
+	var i = 0;
+	while (i < %d) {
+		buf[1] = buf[2] + i;
+		buf[2] = buf[1] - 1;
+		i = i + 1;
+	}
+	return x + buf[2];
+}`
+	for _, mode := range []Mode{ModeHigherOrder, ModeUnsound} {
+		allocs := func(n int) float64 {
+			e := New(prog(t, fmt.Sprintf(src, n)), mode)
+			return testing.AllocsPerRun(50, func() { e.Run([]int64{3}) })
+		}
+		small, large := allocs(100), allocs(400)
+		if large > small {
+			t.Errorf("%v: %.0f allocs per run at 100 iterations, %.0f at 400", mode, small, large)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package concolic
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"hotg/internal/faults"
@@ -10,48 +12,105 @@ import (
 )
 
 // sval is a symbolic value: an integer term, a boolean formula, or ⊥
-// (bottom: statically unknown, ModeStatic only). pending carries the input
+// (bottom: statically unknown, ModeStatic only). An sval with none of the
+// three is input-independent: its symbolic value is its concrete one,
+// S(v) = M(v), and no term is built for it. pending carries the input
 // variables whose concretization constraints were delayed (ModeSoundDelayed)
 // and must be injected before this value is used in a path constraint.
+// Every evaluation step passes svals by value, so the rare parts stay small.
 type sval struct {
 	sum     *sym.Sum
 	b       sym.Expr
+	pending *pendingVars
 	bottom  bool
-	pending []int
 }
 
-func intS(s *sym.Sum, pending []int) sval  { return sval{sum: s, pending: pending} }
-func boolS(b sym.Expr, pending []int) sval { return sval{b: b, pending: pending} }
-func bottomS() sval                        { return sval{bottom: true} }
+// intS wraps an integer term. A term that folded to a constant carries no
+// information beyond the concrete value (constant terms wrap like int64, so
+// the two agree), and becomes an input-independent sval.
+func intS(s *sym.Sum, pending *pendingVars) sval {
+	if len(s.Terms) == 0 {
+		return sval{pending: pending}
+	}
+	return sval{sum: s, pending: pending}
+}
 
-func mergePending(a, b []int) []int {
-	if len(b) == 0 {
+// boolS wraps a formula; one that folded to a constant becomes an
+// input-independent sval. A comparison of overflowing constants may fold to
+// the opposite of the concrete outcome, but a constant condition never
+// reaches a path constraint, so only the concrete outcome matters.
+func boolS(b sym.Expr, pending *pendingVars) sval {
+	if _, ok := b.(*sym.Bool); ok {
+		return sval{pending: pending}
+	}
+	return sval{b: b, pending: pending}
+}
+
+func bottomS() sval { return sval{bottom: true} }
+
+// concrete reports whether s is input-independent: S(v) = M(v).
+func (s sval) concrete() bool { return s.sum == nil && s.b == nil && !s.bottom }
+
+// term returns the integer term of s, whose concrete value is c; an
+// input-independent s materializes as the constant c.
+func (s sval) term(c int64) *sym.Sum {
+	if s.sum == nil {
+		return sym.Int(c)
+	}
+	return s.sum
+}
+
+// pendingVars is an immutable, ordered set of input variable IDs; nil is
+// the empty set.
+type pendingVars struct{ ids []int }
+
+// list returns the IDs of p in order.
+func (p *pendingVars) list() []int {
+	if p == nil {
+		return nil
+	}
+	return p.ids
+}
+
+// varsOf returns the variables of s, ordered by ID, as a pending set.
+func varsOf(s *sym.Sum) *pendingVars {
+	vars := sym.Vars(s)
+	if len(vars) == 0 {
+		return nil
+	}
+	ids := make([]int, len(vars))
+	for i, v := range vars {
+		ids[i] = v.ID
+	}
+	return &pendingVars{ids: ids}
+}
+
+// mergePending returns a ∪ b, ordered as a then b's new IDs; it returns an
+// operand itself when the other adds nothing.
+func mergePending(a, b *pendingVars) *pendingVars {
+	if b == nil {
 		return a
 	}
-	if len(a) == 0 {
+	if a == nil {
 		return b
 	}
-	out := make([]int, len(a), len(a)+len(b))
-	copy(out, a)
-	for _, id := range b {
-		dup := false
-		for _, have := range out {
-			if have == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+	var out []int
+	for _, id := range b.ids {
+		if !slices.Contains(a.ids, id) && !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
-	return out
+	if out == nil {
+		return a
+	}
+	return &pendingVars{ids: append(slices.Clip(a.ids), out...)}
 }
 
-// cell is one array element in the symbolic store.
+// cell is one array element in the symbolic store; the zero cell is
+// input-independent.
 type cell struct {
 	sum     *sym.Sum
-	pending []int
+	pending *pendingVars
 	bottom  bool
 }
 
@@ -62,22 +121,41 @@ type arrayObj struct {
 	cells []cell
 }
 
-// slot is one variable binding: concrete value (M) and symbolic value (S)
-// side by side, as in Section 2 of the paper. Function-typed slots carry the
-// concrete decision table and the callback's uninterpreted symbol; both
-// travel by reference through user calls, so a callback keeps its identity
-// under parameter renaming.
+// slot is one variable binding: concrete value (M; a bool is 0 or 1) and
+// symbolic value (S) side by side, as in Section 2 of the paper.
+// Function-typed slots carry the concrete decision table and the callback's
+// uninterpreted symbol; both travel by reference through user calls, so a
+// callback keeps its identity under parameter renaming.
 type slot struct {
-	kind  mini.TypeKind
 	i     int64
-	b     bool
 	arr   *arrayObj
 	fn    *mini.FuncValue
 	fnSym *sym.Func
 	s     sval
 }
 
-type frame map[string]*slot
+// frame is one activation's variables, indexed by the slots mini.Check
+// assigned (FuncDecl.FrameSize long).
+type frame []slot
+
+// Scratch buffers for a run's branch trace and path constraint. A run
+// appends to pooled buffers and keeps exact-size copies, so a trace costs
+// one allocation whatever its length and retains no spare capacity.
+var (
+	branchBufs = sync.Pool{New: func() any { return new([]mini.BranchEvent) }}
+	pcBufs     = sync.Pool{New: func() any { return new([]Constraint) }}
+)
+
+// exact returns a copy of buf of exactly its length, or nil when it is
+// empty.
+func exact[T any](buf []T) []T {
+	if len(buf) == 0 {
+		return nil
+	}
+	out := make([]T, len(buf))
+	copy(out, buf)
+	return out
+}
 
 type runtimeFault struct{ msg string }
 
@@ -164,12 +242,15 @@ func (e *Engine) RunWith(input []int64, funcs []*mini.FuncValue) *Execution {
 		r.inputVal[v.ID] = input[i]
 		r.varByID[v.ID] = v
 	}
+	branchBuf := branchBufs.Get().(*[]mini.BranchEvent)
+	pcBuf := pcBufs.Get().(*[]Constraint)
+	r.res.Branches, r.ex.PC = (*branchBuf)[:0], (*pcBuf)[:0]
 
 	main := e.Prog.Main()
-	fr := frame{}
+	fr := make(frame, main.FrameSize)
 	k := 0
 	fnIdx := 0
-	for _, prm := range main.Params {
+	for pi, prm := range main.Params {
 		switch prm.Type.Kind {
 		case mini.TArray:
 			obj := &arrayObj{con: make([]int64, prm.Type.Len), cells: make([]cell, prm.Type.Len)}
@@ -178,21 +259,29 @@ func (e *Engine) RunWith(input []int64, funcs []*mini.FuncValue) *Execution {
 				obj.cells[i] = cell{sum: sym.VarTerm(e.InputVars[k])}
 				k++
 			}
-			fr[prm.Name] = &slot{kind: mini.TArray, arr: obj}
+			fr[pi] = slot{arr: obj}
 		case mini.TFunc:
 			var fv *mini.FuncValue // nil = default function
 			if fnIdx < len(funcs) {
 				fv = funcs[fnIdx]
 			}
-			fr[prm.Name] = &slot{kind: mini.TFunc, fn: fv, fnSym: e.CallbackFns[fnIdx]}
+			fr[pi] = slot{fn: fv, fnSym: e.CallbackFns[fnIdx]}
 			fnIdx++
 		default:
-			fr[prm.Name] = &slot{kind: mini.TInt, i: input[k], s: intS(sym.VarTerm(e.InputVars[k]), nil)}
+			fr[pi] = slot{i: input[k], s: intS(sym.VarTerm(e.InputVars[k]), nil)}
 			k++
 		}
 	}
 
 	ret, err := r.execBlock(main.Body, fr)
+	branches, pc := r.res.Branches, r.ex.PC
+	r.res.Branches, r.ex.PC = exact(branches), exact(pc)
+	// Drop the buffer's references to this run's formulas before another
+	// run reuses it.
+	clear(pc)
+	*branchBuf, *pcBuf = branches[:0], pc[:0]
+	branchBufs.Put(branchBuf)
+	pcBufs.Put(pcBuf)
 	r.res.Steps = r.steps
 	switch e := err.(type) {
 	case nil:
@@ -261,33 +350,35 @@ func (r *runner) pinSum(s *sym.Sum, pos mini.Pos) {
 	}
 }
 
-// branchConstraint records the path constraint conjunct for a branch event
-// that evaluated cond to `taken` at Branches[idx].
-func (r *runner) branchConstraint(cond sval, taken bool, idx int, pos mini.Pos) {
+// branch records the branch event of branch point id, whose condition
+// evaluated to taken, and the path constraint conjunct it contributes. It
+// returns taken.
+func (r *runner) branch(id int, taken bool, cond sval, pos mini.Pos) bool {
+	idx := len(r.res.Branches)
+	r.res.Branches = append(r.res.Branches, mini.BranchEvent{ID: id, Taken: taken})
 	if cond.bottom {
 		r.ex.Incomplete = true
-		return
+		return taken
 	}
 	// Delayed concretization constraints are injected as soon as the value
 	// they guard is used in a branch — even when the residual constraint
 	// folds to a constant, the branch outcome still depends on the pinned
 	// inputs (e.g. `hash(y) > 0` folds to `567 > 0` ≡ true, but only under
 	// y = 42).
-	for _, id := range cond.pending {
-		r.pin(id, pos)
+	for _, v := range cond.pending.list() {
+		r.pin(v, pos)
+	}
+	if cond.b == nil {
+		// The condition did not depend on inputs (beyond any pins above):
+		// its outcome is the concrete one that ran.
+		return taken
 	}
 	c := cond.b
 	if !taken {
 		c = sym.NotExpr(c)
 	}
-	if _, ok := c.(*sym.Bool); ok {
-		// The condition did not depend on inputs (beyond any pins above).
-		// It folds to false only when a comparison overflowed int64: the
-		// terms range over unbounded integers, the concrete values wrap,
-		// and the concrete outcome is the one that ran.
-		return
-	}
 	r.ex.PC = append(r.ex.PC, Constraint{Expr: c, EventIndex: idx, Pos: pos})
+	return taken
 }
 
 // imprecise handles an unknown instruction or function producing concrete
@@ -299,7 +390,7 @@ func (r *runner) imprecise(ufName string, native bool, cres int64, argC []int64,
 		return bottomS()
 	case ModeUnsound:
 		r.ex.Concretizations++
-		return intS(sym.Int(cres), nil)
+		return sval{}
 	case ModeSound:
 		r.ex.Concretizations++
 		for _, a := range argS {
@@ -307,19 +398,17 @@ func (r *runner) imprecise(ufName string, native bool, cres int64, argC []int64,
 				r.pinSum(a.sum, pos)
 			}
 		}
-		return intS(sym.Int(cres), nil)
+		return sval{}
 	case ModeSoundDelayed:
 		r.ex.Concretizations++
-		var pending []int
+		var pending *pendingVars
 		for _, a := range argS {
 			if a.sum != nil {
-				for _, v := range sym.Vars(a.sum) {
-					pending = mergePending(pending, []int{v.ID})
-				}
+				pending = mergePending(pending, varsOf(a.sum))
 			}
 			pending = mergePending(pending, a.pending)
 		}
-		return intS(sym.Int(cres), pending)
+		return sval{pending: pending}
 	case ModeHigherOrder:
 		var f *sym.Func
 		if native {
@@ -329,7 +418,7 @@ func (r *runner) imprecise(ufName string, native bool, cres int64, argC []int64,
 		}
 		sums := make([]*sym.Sum, len(argS))
 		for i, a := range argS {
-			sums[i] = a.sum
+			sums[i] = a.term(argC[i])
 		}
 		if r.e.Samples.Add(f, argC, cres) {
 			r.ex.NewSamples++
@@ -356,40 +445,36 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 	}
 	switch st := s.(type) {
 	case *mini.VarDecl:
-		ci, cb, sv, err := r.eval(st.Init, fr)
+		ci, sv, err := r.eval(st.Init, fr)
 		if err != nil {
 			return nil, err
 		}
-		fr[st.Name] = &slot{kind: exprKind(st.Init, fr), i: ci, b: cb, s: sv}
+		fr[st.Slot] = slot{i: ci, s: sv}
 		return nil, nil
 
 	case *mini.ArrDecl:
-		obj := &arrayObj{con: make([]int64, st.Len), cells: make([]cell, st.Len)}
-		for i := range obj.cells {
-			obj.cells[i] = cell{sum: sym.Int(0)}
-		}
-		fr[st.Name] = &slot{kind: mini.TArray, arr: obj}
+		fr[st.Slot] = slot{arr: &arrayObj{con: make([]int64, st.Len), cells: make([]cell, st.Len)}}
 		return nil, nil
 
 	case *mini.Assign:
-		ci, cb, sv, err := r.eval(st.Val, fr)
+		ci, sv, err := r.eval(st.Val, fr)
 		if err != nil {
 			return nil, err
 		}
-		sl := fr[st.Name]
-		sl.i, sl.b, sl.s = ci, cb, sv
+		sl := &fr[st.Slot]
+		sl.i, sl.s = ci, sv
 		return nil, nil
 
 	case *mini.IndexAssign:
-		idxC, _, idxS, err := r.eval(st.Idx, fr)
+		idxC, idxS, err := r.eval(st.Idx, fr)
 		if err != nil {
 			return nil, err
 		}
-		obj := fr[st.Name].arr
+		obj := fr[st.Slot].arr
 		if idxC < 0 || idxC >= int64(len(obj.con)) {
 			return nil, runtimeFault{fmt.Sprintf("%s: index %d out of bounds [0,%d)", st.P, idxC, len(obj.con))}
 		}
-		valC, _, valS, err := r.eval(st.Val, fr)
+		valC, valS, err := r.eval(st.Val, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -397,14 +482,11 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 		return nil, nil
 
 	case *mini.If:
-		_, cb, cs, err := r.eval(st.Cond, fr)
+		c, cs, err := r.eval(st.Cond, fr)
 		if err != nil {
 			return nil, err
 		}
-		idx := len(r.res.Branches)
-		r.res.Branches = append(r.res.Branches, mini.BranchEvent{ID: st.BranchID, Taken: cb})
-		r.branchConstraint(cs, cb, idx, st.P)
-		if cb {
+		if r.branch(st.BranchID, c != 0, cs, st.P) {
 			return r.execBlock(st.Then, fr)
 		}
 		switch e := st.Else.(type) {
@@ -419,14 +501,11 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 
 	case *mini.While:
 		for {
-			_, cb, cs, err := r.eval(st.Cond, fr)
+			c, cs, err := r.eval(st.Cond, fr)
 			if err != nil {
 				return nil, err
 			}
-			idx := len(r.res.Branches)
-			r.res.Branches = append(r.res.Branches, mini.BranchEvent{ID: st.BranchID, Taken: cb})
-			r.branchConstraint(cs, cb, idx, st.P)
-			if !cb {
+			if !r.branch(st.BranchID, c != 0, cs, st.P) {
 				return nil, nil
 			}
 			ret, err := r.execBlock(st.Body, fr)
@@ -442,7 +521,7 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 		if st.Val == nil {
 			return &retval{}, nil
 		}
-		ci, _, sv, err := r.eval(st.Val, fr)
+		ci, sv, err := r.eval(st.Val, fr)
 		if err != nil {
 			return nil, err
 		}
@@ -452,7 +531,7 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 		return nil, errorReached{site: st.SiteID, msg: st.Msg}
 
 	case *mini.ExprStmt:
-		_, _, _, err := r.eval(st.X, fr)
+		_, _, err := r.eval(st.X, fr)
 		return nil, err
 
 	case *mini.Block:
@@ -462,7 +541,7 @@ func (r *runner) execStmt(s mini.Stmt, fr frame) (*retval, error) {
 }
 
 func (r *runner) arrayWrite(obj *arrayObj, idxC int64, idxS sval, valC int64, valS sval, pos mini.Pos) {
-	if _, isConst := constOf(idxS); !isConst {
+	if !idxS.concrete() {
 		// Symbolic index: an unknown instruction outside T.
 		switch r.e.Mode {
 		case ModeStatic:
@@ -476,7 +555,7 @@ func (r *runner) arrayWrite(obj *arrayObj, idxC int64, idxS sval, valC int64, va
 			if idxS.sum != nil {
 				r.pinSum(idxS.sum, pos)
 			}
-			for _, id := range idxS.pending {
+			for _, id := range idxS.pending.list() {
 				r.pin(id, pos)
 			}
 		}
@@ -491,7 +570,7 @@ func (r *runner) arrayRead(obj *arrayObj, idxC int64, idxS sval, pos mini.Pos) (
 	}
 	cl := obj.cells[idxC]
 	out := sval{sum: cl.sum, pending: cl.pending, bottom: cl.bottom}
-	if _, isConst := constOf(idxS); !isConst {
+	if !idxS.concrete() {
 		switch r.e.Mode {
 		case ModeStatic:
 			return obj.con[idxC], bottomS(), nil
@@ -505,9 +584,7 @@ func (r *runner) arrayRead(obj *arrayObj, idxC int64, idxS sval, pos mini.Pos) (
 		case ModeSoundDelayed:
 			r.ex.Concretizations++
 			if idxS.sum != nil {
-				for _, v := range sym.Vars(idxS.sum) {
-					out.pending = mergePending(out.pending, []int{v.ID})
-				}
+				out.pending = mergePending(out.pending, varsOf(idxS.sum))
 			}
 			out.pending = mergePending(out.pending, idxS.pending)
 		}
@@ -515,222 +592,169 @@ func (r *runner) arrayRead(obj *arrayObj, idxC int64, idxS sval, pos mini.Pos) (
 	return obj.con[idxC], out, nil
 }
 
-// constOf reports whether an sval is a known integer constant.
-func constOf(s sval) (int64, bool) {
-	if s.bottom || s.sum == nil {
-		return 0, false
-	}
-	return s.sum.IsConst()
-}
-
-// exprKind returns the static kind of an expression (int or bool), which the
-// checker has already validated.
-func exprKind(e mini.Expr, fr frame) mini.TypeKind {
-	switch x := e.(type) {
-	case *mini.IntLit, *mini.Index, *mini.Call:
-		return mini.TInt
-	case *mini.BoolLit:
-		return mini.TBool
-	case *mini.Ident:
-		return fr[x.Name].kind
-	case *mini.Unary:
-		if x.Op == mini.TokBang {
-			return mini.TBool
-		}
-		return mini.TInt
-	case *mini.Binary:
-		switch x.Op {
-		case mini.TokPlus, mini.TokMinus, mini.TokStar, mini.TokSlash, mini.TokPercent:
-			return mini.TInt
-		}
-		return mini.TBool
-	}
-	return mini.TInt
-}
-
 // eval is the side-by-side evaluation of Figure 1: it returns the concrete
-// value (int or bool) together with the symbolic value.
-func (r *runner) eval(e mini.Expr, fr frame) (int64, bool, sval, error) {
+// value (an int, or 0/1 for a bool) together with the symbolic value.
+func (r *runner) eval(e mini.Expr, fr frame) (int64, sval, error) {
 	if err := r.tick(); err != nil {
-		return 0, false, sval{}, err
+		return 0, sval{}, err
 	}
 	switch x := e.(type) {
 	case *mini.IntLit:
-		return x.V, false, intS(sym.Int(x.V), nil), nil
+		return x.V, sval{}, nil
 	case *mini.BoolLit:
-		return 0, x.V, boolS(boolConst(x.V), nil), nil
+		return b2i(x.V), sval{}, nil
 	case *mini.Ident:
-		sl := fr[x.Name]
-		return sl.i, sl.b, sl.s, nil
+		sl := &fr[x.Slot]
+		return sl.i, sl.s, nil
 	case *mini.Index:
-		idxC, _, idxS, err := r.eval(x.Idx, fr)
+		idxC, idxS, err := r.eval(x.Idx, fr)
 		if err != nil {
-			return 0, false, sval{}, err
+			return 0, sval{}, err
 		}
-		v, sv, err := r.arrayRead(fr[x.Name].arr, idxC, idxS, x.P)
-		return v, false, sv, err
+		return r.arrayRead(fr[x.Slot].arr, idxC, idxS, x.P)
 	case *mini.Unary:
-		ci, cb, sv, err := r.eval(x.X, fr)
+		c, sv, err := r.eval(x.X, fr)
 		if err != nil {
-			return 0, false, sval{}, err
+			return 0, sval{}, err
 		}
+		// A bottom or input-independent operand passes through unchanged.
 		switch x.Op {
 		case mini.TokBang:
-			if sv.bottom {
-				return 0, !cb, bottomS(), nil
+			if sv.b != nil {
+				sv = boolS(sym.NotExpr(sv.b), sv.pending)
 			}
-			return 0, !cb, boolS(sym.NotExpr(sv.b), sv.pending), nil
+			return 1 - c, sv, nil
 		case mini.TokMinus:
-			if sv.bottom {
-				return -ci, false, bottomS(), nil
+			if sv.sum != nil {
+				sv = intS(sym.NegSum(sv.sum), sv.pending)
 			}
-			return -ci, false, intS(sym.NegSum(sv.sum), sv.pending), nil
+			return -c, sv, nil
 		}
 	case *mini.Binary:
 		return r.evalBinary(x, fr)
 	case *mini.Call:
-		ci, sv, err := r.evalCall(x, fr)
-		return ci, false, sv, err
+		return r.evalCall(x, fr)
 	}
 	panic(fmt.Sprintf("concolic: eval: unhandled %T", e))
 }
 
-func boolConst(v bool) sym.Expr {
-	if v {
-		return sym.True
+func b2i(b bool) int64 {
+	if b {
+		return 1
 	}
-	return sym.False
+	return 0
 }
 
-func (r *runner) evalBinary(x *mini.Binary, fr frame) (int64, bool, sval, error) {
-	li, lb, ls, err := r.eval(x.X, fr)
+func (r *runner) evalBinary(x *mini.Binary, fr frame) (int64, sval, error) {
+	li, ls, err := r.eval(x.X, fr)
 	if err != nil {
-		return 0, false, sval{}, err
+		return 0, sval{}, err
 	}
 
 	// Short-circuit operators: implicit branch events (see mini.Binary).
 	switch x.Op {
-	case mini.TokAndAnd:
-		idx := len(r.res.Branches)
-		r.res.Branches = append(r.res.Branches, mini.BranchEvent{ID: x.BranchID, Taken: lb})
-		r.branchConstraint(ls, lb, idx, x.P)
-		if !lb {
+	case mini.TokAndAnd, mini.TokOrOr:
+		if r.branch(x.BranchID, li != 0, ls, x.P) == (x.Op == mini.TokOrOr) {
+			// The left operand decided: false && _, true || _.
 			if ls.bottom {
-				return 0, false, bottomS(), nil
+				return li, bottomS(), nil
 			}
-			return 0, false, boolS(sym.False, nil), nil
-		}
-		return r.eval(x.Y, fr)
-	case mini.TokOrOr:
-		idx := len(r.res.Branches)
-		r.res.Branches = append(r.res.Branches, mini.BranchEvent{ID: x.BranchID, Taken: lb})
-		r.branchConstraint(ls, lb, idx, x.P)
-		if lb {
-			if ls.bottom {
-				return 0, true, bottomS(), nil
-			}
-			return 0, true, boolS(sym.True, nil), nil
+			return li, sval{}, nil
 		}
 		return r.eval(x.Y, fr)
 	}
 
-	ri, _, rs, err := r.eval(x.Y, fr)
+	ri, rs, err := r.eval(x.Y, fr)
 	if err != nil {
-		return 0, false, sval{}, err
+		return 0, sval{}, err
 	}
-	bothBottom := ls.bottom || rs.bottom
-	pending := mergePending(ls.pending, rs.pending)
 
+	// The concrete result (M).
+	var ci int64
 	switch x.Op {
 	case mini.TokPlus:
-		if bothBottom {
-			return li + ri, false, bottomS(), nil
-		}
-		return li + ri, false, intS(sym.AddSum(ls.sum, rs.sum), pending), nil
+		ci = li + ri
 	case mini.TokMinus:
-		if bothBottom {
-			return li - ri, false, bottomS(), nil
-		}
-		return li - ri, false, intS(sym.SubSum(ls.sum, rs.sum), pending), nil
+		ci = li - ri
 	case mini.TokStar:
-		cres := li * ri
-		if bothBottom {
-			return cres, false, bottomS(), nil
-		}
-		if prod, ok := sym.MulSum(ls.sum, rs.sum); ok {
-			return cres, false, intS(prod, pending), nil
-		}
-		// Product of two symbolic terms: an unknown instruction.
-		return cres, false, r.imprecise("$mul", false, cres, []int64{li, ri}, []sval{ls, rs}, x.P), nil
+		ci = li * ri
 	case mini.TokSlash, mini.TokPercent:
 		if ri == 0 {
 			op := "division"
 			if x.Op == mini.TokPercent {
 				op = "modulo"
 			}
-			return 0, false, sval{}, runtimeFault{fmt.Sprintf("%s: %s by zero", x.P, op)}
+			return 0, sval{}, runtimeFault{fmt.Sprintf("%s: %s by zero", x.P, op)}
 		}
-		var cres int64
-		ufName := "$div"
 		if x.Op == mini.TokSlash {
-			cres = li / ri
+			ci = li / ri
 		} else {
-			cres = li % ri
-			ufName = "$mod"
+			ci = li % ri
 		}
-		if bothBottom {
-			return cres, false, bottomS(), nil
-		}
-		_, lc := ls.sum.IsConst()
-		_, rc := rs.sum.IsConst()
-		if lc && rc {
-			return cres, false, intS(sym.Int(cres), pending), nil
-		}
-		// Integer division/modulo with a symbolic operand is outside T.
-		return cres, false, r.imprecise(ufName, false, cres, []int64{li, ri}, []sval{ls, rs}, x.P), nil
-	}
-
-	// Comparisons.
-	var cb bool
-	var bex sym.Expr
-	switch x.Op {
 	case mini.TokEq:
-		cb = li == ri
-		if !bothBottom {
-			bex = sym.Eq(ls.sum, rs.sum)
-		}
+		ci = b2i(li == ri)
 	case mini.TokNe:
-		cb = li != ri
-		if !bothBottom {
-			bex = sym.Ne(ls.sum, rs.sum)
-		}
+		ci = b2i(li != ri)
 	case mini.TokLt:
-		cb = li < ri
-		if !bothBottom {
-			bex = sym.Lt(ls.sum, rs.sum)
-		}
+		ci = b2i(li < ri)
 	case mini.TokLe:
-		cb = li <= ri
-		if !bothBottom {
-			bex = sym.Le(ls.sum, rs.sum)
-		}
+		ci = b2i(li <= ri)
 	case mini.TokGt:
-		cb = li > ri
-		if !bothBottom {
-			bex = sym.Gt(ls.sum, rs.sum)
-		}
+		ci = b2i(li > ri)
 	case mini.TokGe:
-		cb = li >= ri
-		if !bothBottom {
-			bex = sym.Ge(ls.sum, rs.sum)
-		}
+		ci = b2i(li >= ri)
 	default:
 		panic(fmt.Sprintf("concolic: bad binary op %v", x.Op))
 	}
-	if bothBottom {
-		return 0, cb, bottomS(), nil
+
+	// The symbolic result (S).
+	if ls.bottom || rs.bottom {
+		return ci, bottomS(), nil
 	}
-	return 0, cb, boolS(bex, pending), nil
+	pending := mergePending(ls.pending, rs.pending)
+	if ls.sum == nil && rs.sum == nil {
+		// Both operands are input-independent, and so is the result.
+		return ci, sval{pending: pending}, nil
+	}
+	switch x.Op {
+	case mini.TokPlus:
+		return ci, intS(sym.AddSum(ls.term(li), rs.term(ri)), pending), nil
+	case mini.TokMinus:
+		return ci, intS(sym.SubSum(ls.term(li), rs.term(ri)), pending), nil
+	case mini.TokStar:
+		switch {
+		case ls.sum == nil:
+			return ci, intS(sym.ScaleSum(li, rs.sum), pending), nil
+		case rs.sum == nil:
+			return ci, intS(sym.ScaleSum(ri, ls.sum), pending), nil
+		}
+		// Product of two symbolic terms: an unknown instruction.
+		return ci, r.imprecise("$mul", false, ci, []int64{li, ri}, []sval{ls, rs}, x.P), nil
+	case mini.TokSlash:
+		// Integer division/modulo with a symbolic operand is outside T.
+		return ci, r.imprecise("$div", false, ci, []int64{li, ri}, []sval{ls, rs}, x.P), nil
+	case mini.TokPercent:
+		return ci, r.imprecise("$mod", false, ci, []int64{li, ri}, []sval{ls, rs}, x.P), nil
+	}
+
+	// Comparisons.
+	a, b := ls.term(li), rs.term(ri)
+	var bex sym.Expr
+	switch x.Op {
+	case mini.TokEq:
+		bex = sym.Eq(a, b)
+	case mini.TokNe:
+		bex = sym.Ne(a, b)
+	case mini.TokLt:
+		bex = sym.Lt(a, b)
+	case mini.TokLe:
+		bex = sym.Le(a, b)
+	case mini.TokGt:
+		bex = sym.Gt(a, b)
+	case mini.TokGe:
+		bex = sym.Ge(a, b)
+	}
+	return ci, boolS(bex, pending), nil
 }
 
 func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
@@ -738,22 +762,12 @@ func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
 		return r.evalCallback(x, fr)
 	}
 	if x.Native {
-		nat := r.e.Prog.Natives[x.Name]
-		argC := make([]int64, len(x.Args))
-		argS := make([]sval, len(x.Args))
-		symbolic := false
-		for i, a := range x.Args {
-			ci, _, sv, err := r.eval(a, fr)
-			if err != nil {
-				return 0, sval{}, err
-			}
-			argC[i], argS[i] = ci, sv
-			if _, isConst := constOf(sv); !isConst {
-				symbolic = true
-			}
+		argC, argS, err := r.evalArgs(x.Args, fr)
+		if err != nil {
+			return 0, sval{}, err
 		}
-		cres := nat.Fn(argC)
-		if !symbolic {
+		cres := r.e.Prog.Natives[x.Name].Fn(argC)
+		if !slices.ContainsFunc(argS, func(s sval) bool { return !s.concrete() }) {
 			// Not input-dependent: S(v) defaults to M(v). The IOF pair is
 			// still recorded in higher-order mode — this is how lexer
 			// initialization teaches the store all keyword hashes (§7).
@@ -763,7 +777,7 @@ func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
 					r.ex.NewSamples++
 				}
 			}
-			return cres, intS(sym.Int(cres), nil), nil
+			return cres, sval{}, nil
 		}
 		// Unknown function applied to symbolic arguments (line 10, Fig. 3).
 		return cres, r.imprecise(x.Name, true, cres, argC, argS, x.P), nil
@@ -776,22 +790,35 @@ func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {
 	if err := r.enter(x.P); err != nil {
 		return 0, sval{}, err
 	}
-	callee := frame{}
+	callee := make(frame, fd.FrameSize)
 	for i, prm := range fd.Params {
 		if prm.Type.Kind == mini.TArray || prm.Type.Kind == mini.TFunc {
 			// Arrays and function values are passed by reference.
-			id := x.Args[i].(*mini.Ident)
-			callee[prm.Name] = fr[id.Name]
+			callee[i] = fr[x.Args[i].(*mini.Ident).Slot]
 			continue
 		}
-		ci, cb, sv, err := r.eval(x.Args[i], fr)
+		ci, sv, err := r.eval(x.Args[i], fr)
 		if err != nil {
 			r.depth--
 			return 0, sval{}, err
 		}
-		callee[prm.Name] = &slot{kind: prm.Type.Kind, i: ci, b: cb, s: sv}
+		callee[i] = slot{i: ci, s: sv}
 	}
 	return r.leave(r.execBlock(fd.Body, callee))
+}
+
+// evalArgs evaluates the arguments of a call, left to right.
+func (r *runner) evalArgs(args []mini.Expr, fr frame) ([]int64, []sval, error) {
+	argC := make([]int64, len(args))
+	argS := make([]sval, len(args))
+	for i, a := range args {
+		c, s, err := r.eval(a, fr)
+		if err != nil {
+			return nil, nil, err
+		}
+		argC[i], argS[i] = c, s
+	}
+	return argC, argS, nil
 }
 
 // enter charges one user-function call against the recursion budget; every
@@ -814,7 +841,7 @@ func (r *runner) leave(ret *retval, err error) (int64, sval, error) {
 		return 0, sval{}, err
 	}
 	if ret == nil {
-		return 0, intS(sym.Int(0), nil), nil
+		return 0, sval{}, nil
 	}
 	return ret.i, ret.s, nil
 }
@@ -829,25 +856,16 @@ func (r *runner) leave(ret *retval, err error) (int64, sval, error) {
 // application like any unknown function: concretize (with the mode's pinning
 // discipline), which is exactly the DART-style baseline E16 measures against.
 func (r *runner) evalCallback(x *mini.Call, fr frame) (int64, sval, error) {
-	sl := fr[x.Name]
-	argC := make([]int64, len(x.Args))
-	argS := make([]sval, len(x.Args))
-	for i, a := range x.Args {
-		ci, _, sv, err := r.eval(a, fr)
-		if err != nil {
-			return 0, sval{}, err
-		}
-		argC[i], argS[i] = ci, sv
+	argC, argS, err := r.evalArgs(x.Args, fr)
+	if err != nil {
+		return 0, sval{}, err
 	}
+	sl := &fr[x.Slot]
 	cres := sl.fn.Eval(argC)
 	if r.e.Mode == ModeHigherOrder {
 		sums := make([]*sym.Sum, len(argS))
 		for i, a := range argS {
-			if a.bottom || a.sum == nil {
-				sums[i] = sym.Int(argC[i])
-			} else {
-				sums[i] = a.sum
-			}
+			sums[i] = a.term(argC[i])
 		}
 		r.ex.CallbackSamples.Add(sl.fnSym, argC, cres)
 		r.ex.UFApps++
@@ -864,9 +882,9 @@ func (r *runner) evalCallInline(x *mini.Call, argC []int64, argS []sval) (int64,
 	if err := r.enter(x.P); err != nil {
 		return 0, sval{}, err
 	}
-	callee := frame{}
-	for i, prm := range fd.Params {
-		callee[prm.Name] = &slot{kind: mini.TInt, i: argC[i], s: argS[i]}
+	callee := make(frame, fd.FrameSize)
+	for i := range fd.Params {
+		callee[i] = slot{i: argC[i], s: argS[i]}
 	}
 	return r.leave(r.execBlock(fd.Body, callee))
 }

@@ -51,7 +51,7 @@ type relConstraint struct {
 type SummaryCase struct {
 	Formals     []*sym.Var
 	Constraints []relConstraint
-	Ret         *sym.Sum // over Formals; Int(0) for void or fall-off returns
+	Ret         *sym.Sum // over Formals; a constant when it depends on none (0 for void or fall-off returns)
 }
 
 // SummaryCache memoizes path summaries per function. A single cache belongs
@@ -234,14 +234,9 @@ func (r *runner) groundFoldApply(a *sym.Apply) (*sym.Sum, bool) {
 // summary cache. Falls back to classic inlining on abnormal callee exits.
 func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 	fd := x.Fn
-	argC := make([]int64, len(x.Args))
-	argS := make([]sval, len(x.Args))
-	for i, a := range x.Args {
-		ci, _, sv, err := r.eval(a, fr)
-		if err != nil {
-			return 0, sval{}, err
-		}
-		argC[i], argS[i] = ci, sv
+	argC, argS, err := r.evalArgs(x.Args, fr)
+	if err != nil {
+		return 0, sval{}, err
 	}
 
 	// Concrete probe: which intraprocedural path does this call take?
@@ -278,7 +273,7 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 		r.res.Branches = append(r.res.Branches, probe.Branches...)
 		subst := make(map[int]*sym.Sum, len(cs.Formals))
 		for i, f := range cs.Formals {
-			subst[f.ID] = argS[i].sum
+			subst[f.ID] = argS[i].term(argC[i])
 		}
 		for _, rc := range cs.Constraints {
 			expr := r.groundFold(sym.SubstVars(rc.Expr, subst))
@@ -308,10 +303,10 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 		return 0, sval{}, err
 	}
 	formals := make([]*sym.Var, len(fd.Params))
-	callee := frame{}
+	callee := make(frame, fd.FrameSize)
 	for i, prm := range fd.Params {
 		formals[i] = r.e.Pool.NewVar("$" + fd.Name + "." + prm.Name)
-		callee[prm.Name] = &slot{kind: mini.TInt, i: argC[i], s: intS(sym.VarTerm(formals[i]), nil)}
+		callee[i] = slot{i: argC[i], s: intS(sym.VarTerm(formals[i]), nil)}
 		// Formals behave as the inputs of this sub-execution: register them
 		// so any concretization pin emitted inside the callee (e.g. a
 		// symbolic array index in a nested non-summarizable call) pins the
@@ -328,13 +323,10 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 		panic(fmt.Sprintf("concolic: summary pass diverged from probe at %s: %v", x.P, err))
 	}
 
-	retC, retSum := int64(0), sym.Int(0)
-	if ret != nil {
-		retC = ret.i
-		if ret.s.sum != nil {
-			retSum = ret.s.sum
-		}
+	if ret == nil {
+		ret = &retval{} // fall-off return: the input-independent 0
 	}
+	retC, retSum := ret.i, ret.s.term(ret.i)
 	cs := &SummaryCase{Formals: formals, Ret: retSum}
 	for i := pcMark; i < len(r.ex.PC); i++ {
 		c := r.ex.PC[i]
@@ -356,7 +348,7 @@ func (r *runner) evalCallSummary(x *mini.Call, fr frame) (int64, sval, error) {
 	// would not have emitted those).
 	subst := make(map[int]*sym.Sum, len(formals))
 	for i, f := range formals {
-		subst[f.ID] = argS[i].sum
+		subst[f.ID] = argS[i].term(argC[i])
 	}
 	kept := r.ex.PC[:pcMark]
 	for i := pcMark; i < len(r.ex.PC); i++ {

@@ -104,6 +104,7 @@ func A5CampaignResume(cfg Config) *Table {
 	session := func(dir string, opts *search.Options) (*search.Stats, *campaign.Session, error) {
 		eng := concolic.New(w.Build(), mode)
 		opts.Seeds, opts.Bounds, opts.Obs = w.Seeds, w.Bounds, cmp.Or(opts.Obs, cfg.Obs)
+		opts.Workers = cmp.Or(opts.Workers, cfg.Workers)
 		opts.Budget = search.Budget{ProofTimeout: cfg.ProofTimeout, Degrade: cfg.Degrade}
 		c, err := campaign.Start(dir, w.Name, eng, opts)
 		if err != nil {

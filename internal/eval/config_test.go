@@ -32,9 +32,9 @@ func TestConfigDefaults(t *testing.T) {
 // TestConfigDefaultsPreserveFlags checks defaults() does not disturb the
 // pass-through fields.
 func TestConfigDefaultsPreserveFlags(t *testing.T) {
-	in := Config{Quick: true, Degrade: true, ProofTimeout: 1}
+	in := Config{Quick: true, Degrade: true, ProofTimeout: 1, Workers: 3}
 	got := in.defaults()
-	if !got.Quick || !got.Degrade || got.ProofTimeout != 1 {
+	if !got.Quick || !got.Degrade || got.ProofTimeout != 1 || got.Workers != 3 {
 		t.Errorf("defaults() dropped pass-through fields: %+v", got)
 	}
 }

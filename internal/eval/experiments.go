@@ -37,6 +37,9 @@ func runSearch(cfg Config, w *lexapp.Workload, mode concolic.Mode, opts search.O
 	if opts.Obs == nil {
 		opts.Obs = cfg.Obs
 	}
+	if opts.Workers == 0 {
+		opts.Workers = cfg.Workers
+	}
 	if !opts.Budget.Active() && (cfg.ProofTimeout > 0 || cfg.Degrade) {
 		opts.Budget = search.Budget{ProofTimeout: cfg.ProofTimeout, Degrade: cfg.Degrade}
 	}
@@ -711,7 +714,7 @@ func E13SamplePersistence(cfg Config) *Table {
 		t.claim(false, "session store decodes: %v", err)
 		return t
 	}
-	st2 := search.Run(sess2, search.Options{MaxRuns: cfg.Budget, Seeds: lexapp.JunkSeeds(), Bounds: w2.Bounds, Obs: cfg.Obs})
+	st2 := search.Run(sess2, search.Options{MaxRuns: cfg.Budget, Seeds: lexapp.JunkSeeds(), Bounds: w2.Bounds, Obs: cfg.Obs, Workers: cfg.Workers})
 	t.addRow("junk + imported session", fmt.Sprintf("%d/8", keywordSides(w2, st2)),
 		fmt.Sprintf("%d", st2.SamplesLearned), fmt.Sprintf("%d", len(st2.ErrorSitesFound())),
 		fmt.Sprintf("%d/%d", st2.BranchSidesCovered(), st2.BranchSidesTotal()))
@@ -901,7 +904,7 @@ func A3Summaries(cfg Config) *Table {
 	w2 := lexapp.Scanner()
 	eng := concolic.New(w2.Build(), concolic.ModeHigherOrder)
 	eng.Summaries = concolic.NewSummaryCache()
-	summ := search.Run(eng, search.Options{MaxRuns: budget, Seeds: w2.Seeds, Bounds: w2.Bounds, Obs: cfg.Obs})
+	summ := search.Run(eng, search.Options{MaxRuns: budget, Seeds: w2.Seeds, Bounds: w2.Bounds, Obs: cfg.Obs, Workers: cfg.Workers})
 	t.addRow("summaries", fmt.Sprintf("%d", summ.Runs), fmt.Sprintf("%d", len(summ.ErrorSitesFound())),
 		fmt.Sprintf("%d/%d", summ.BranchSidesCovered(), summ.BranchSidesTotal()),
 		fmt.Sprintf("%d", summ.Divergences),
@@ -1033,7 +1036,7 @@ fn main(x int, y int) {
 		{Lo: -16, Hi: 16, HasLo: true, HasHi: true},
 	}
 	eng := concolic.New(pure, concolic.ModeSound)
-	st := search.Run(eng, search.Options{MaxRuns: 500, Seeds: [][]int64{{0, 0}}, Bounds: bounds, Obs: cfg.Obs})
+	st := search.Run(eng, search.Options{MaxRuns: 500, Seeds: [][]int64{{0, 0}}, Bounds: bounds, Obs: cfg.Obs, Workers: cfg.Workers})
 	verdict := "bugs remain"
 	if st.Exhausted {
 		verdict = "VERIFIED: unhit sites unreachable"
@@ -1051,7 +1054,7 @@ fn main(x int, y int) {
 	// incomplete — exhaustion proves nothing.
 	obscure := lexapp.Obscure()
 	engS := concolic.New(obscure.Build(), concolic.ModeStatic)
-	stS := search.Run(engS, search.Options{MaxRuns: 500, Seeds: obscure.Seeds, Obs: cfg.Obs})
+	stS := search.Run(engS, search.Options{MaxRuns: 500, Seeds: obscure.Seeds, Obs: cfg.Obs, Workers: cfg.Workers})
 	t.addRow("obscure (hash)", "static", fmt.Sprintf("%v", stS.Exhausted), fmt.Sprintf("%d", stS.Runs),
 		fmt.Sprintf("%d", stS.Paths()), fmt.Sprintf("%v", stS.ErrorSitesFound()),
 		"no verification (incomplete pc)")

@@ -125,6 +125,12 @@ type Config struct {
 	// Degrade enables the precision-degradation ladder (benchtab -degrade)
 	// on every search the experiments run.
 	Degrade bool
+	// Workers, when positive, is the worker count of every search the
+	// experiments run (benchtab -workers); zero keeps the search default,
+	// GOMAXPROCS. A search's summary line shows the count when it is above
+	// one, so results_full.txt (captured at one worker) is reproduced
+	// verbatim only with Workers = 1.
+	Workers int
 }
 
 func (c Config) defaults() Config {

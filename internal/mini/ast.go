@@ -60,10 +60,12 @@ type BoolLit struct {
 	V bool
 }
 
-// Ident is a variable reference.
+// Ident is a variable reference. Slot is the variable's index in its
+// function's frame, assigned by Check (see FuncDecl.FrameSize).
 type Ident struct {
 	P    Pos
 	Name string
+	Slot int
 }
 
 // Unary is !x or -x.
@@ -95,6 +97,7 @@ type Call struct {
 	Fn     *FuncDecl // user-defined callee, or nil
 	Native bool
 	Param  bool
+	Slot   int // frame slot of the function-typed parameter, when Param
 }
 
 // Index is an array element read a[i].
@@ -102,6 +105,7 @@ type Index struct {
 	P    Pos
 	Name string
 	Idx  Expr
+	Slot int
 }
 
 // Pos implements Expr.
@@ -132,6 +136,7 @@ type VarDecl struct {
 	P    Pos
 	Name string
 	Init Expr
+	Slot int
 }
 
 // ArrDecl declares a zero-initialized array: var a [8];
@@ -139,6 +144,7 @@ type ArrDecl struct {
 	P    Pos
 	Name string
 	Len  int
+	Slot int
 }
 
 // Assign is x = e;
@@ -146,6 +152,7 @@ type Assign struct {
 	P    Pos
 	Name string
 	Val  Expr
+	Slot int
 }
 
 // IndexAssign is a[i] = e;
@@ -154,6 +161,7 @@ type IndexAssign struct {
 	Name string
 	Idx  Expr
 	Val  Expr
+	Slot int
 }
 
 // If is a conditional; Else is nil, *Block, or *If (else-if chain).
@@ -231,12 +239,19 @@ type Param struct {
 
 // FuncDecl is a function definition. HasRet reports whether the function is
 // declared to return an int (the only return type).
+//
+// FrameSize is the number of variable slots one activation needs, assigned by
+// Check: parameters take slots 0..len(Params)-1 and every declaration in the
+// body gets the next free slot of its block. A slot is reused only by a
+// declaration in a later sibling block, after the first one's scope has
+// ended (shadowing is rejected, so a name in scope has exactly one slot).
 type FuncDecl struct {
-	P      Pos
-	Name   string
-	Params []Param
-	HasRet bool
-	Body   *Block
+	P         Pos
+	Name      string
+	Params    []Param
+	HasRet    bool
+	Body      *Block
+	FrameSize int
 }
 
 // Program is a checked mini program.

@@ -2,8 +2,9 @@ package mini
 
 // Check resolves names, type-checks the program against the given native
 // registry, and assigns stable IDs to branch points (if/while conditions) and
-// error sites. It must be called once before interpretation or symbolic
-// execution. Check mutates the AST in place.
+// error sites. It resolves every variable reference to its frame slot (see
+// FuncDecl.FrameSize). It must be called once before interpretation or
+// symbolic execution. Check mutates the AST in place.
 func Check(prog *Program, natives Natives) error {
 	c := &checker{prog: prog, natives: natives}
 	prog.Natives = natives
@@ -32,53 +33,76 @@ type checker struct {
 	nextBranch int
 	errorSites []string
 
-	scopes []map[string]Type
+	scopes []map[string]binding
 	fn     *FuncDecl
+	// nextSlot is the first free frame slot of the current function;
+	// FuncDecl.FrameSize collects its high-water mark.
+	nextSlot int
 }
 
-func (c *checker) push() { c.scopes = append(c.scopes, map[string]Type{}) }
+// binding is a variable in scope: its type and its frame slot.
+type binding struct {
+	t    Type
+	slot int
+}
+
+func (c *checker) push() { c.scopes = append(c.scopes, map[string]binding{}) }
 func (c *checker) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
 
-func (c *checker) declare(pos Pos, name string, t Type) error {
+// declare binds name in the innermost scope to the next free frame slot and
+// returns that slot.
+func (c *checker) declare(pos Pos, name string, t Type) (int, error) {
 	for _, sc := range c.scopes {
 		if _, ok := sc[name]; ok {
-			return errf(pos, "%s redeclared (shadowing is not allowed)", name)
+			return 0, errf(pos, "%s redeclared (shadowing is not allowed)", name)
 		}
 	}
 	if _, ok := c.prog.Funcs[name]; ok {
-		return errf(pos, "%s conflicts with a function name", name)
+		return 0, errf(pos, "%s conflicts with a function name", name)
 	}
 	if _, ok := c.natives[name]; ok {
-		return errf(pos, "%s conflicts with a native function name", name)
+		return 0, errf(pos, "%s conflicts with a native function name", name)
 	}
-	c.scopes[len(c.scopes)-1][name] = t
-	return nil
+	slot := c.nextSlot
+	c.nextSlot++
+	c.fn.FrameSize = max(c.fn.FrameSize, c.nextSlot)
+	c.scopes[len(c.scopes)-1][name] = binding{t: t, slot: slot}
+	return slot, nil
 }
 
-func (c *checker) lookup(name string) (Type, bool) {
+func (c *checker) lookup(name string) (binding, bool) {
 	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if t, ok := c.scopes[i][name]; ok {
-			return t, true
+		if b, ok := c.scopes[i][name]; ok {
+			return b, true
 		}
 	}
-	return Type{}, false
+	return binding{}, false
 }
 
 func (c *checker) checkFunc(fd *FuncDecl) error {
 	c.fn = fd
 	c.scopes = nil
+	c.nextSlot = 0
+	fd.FrameSize = 0
 	c.push()
 	for _, prm := range fd.Params {
-		if err := c.declare(fd.P, prm.Name, prm.Type); err != nil {
+		if _, err := c.declare(fd.P, prm.Name, prm.Type); err != nil {
 			return err
 		}
 	}
 	return c.checkBlock(fd.Body)
 }
 
+// checkBlock checks a block in a scope of its own. The block's declarations
+// take slots above those of the enclosing scopes and free them at its end,
+// so a later sibling block reuses them.
 func (c *checker) checkBlock(b *Block) error {
 	c.push()
-	defer c.pop()
+	mark := c.nextSlot
+	defer func() {
+		c.pop()
+		c.nextSlot = mark
+	}()
 	for _, s := range b.Stmts {
 		if err := c.checkStmt(s); err != nil {
 			return err
@@ -97,16 +121,21 @@ func (c *checker) checkStmt(s Stmt) error {
 		if t.Kind == TArray {
 			return errf(st.P, "cannot assign an array value")
 		}
-		return c.declare(st.P, st.Name, t)
+		st.Slot, err = c.declare(st.P, st.Name, t)
+		return err
 
 	case *ArrDecl:
-		return c.declare(st.P, st.Name, Type{Kind: TArray, Len: st.Len})
+		var err error
+		st.Slot, err = c.declare(st.P, st.Name, Type{Kind: TArray, Len: st.Len})
+		return err
 
 	case *Assign:
-		vt, ok := c.lookup(st.Name)
+		vb, ok := c.lookup(st.Name)
 		if !ok {
 			return errf(st.P, "undefined variable %s", st.Name)
 		}
+		vt := vb.t
+		st.Slot = vb.slot
 		if vt.Kind == TArray {
 			return errf(st.P, "cannot assign to array %s without an index", st.Name)
 		}
@@ -123,13 +152,14 @@ func (c *checker) checkStmt(s Stmt) error {
 		return nil
 
 	case *IndexAssign:
-		vt, ok := c.lookup(st.Name)
+		vb, ok := c.lookup(st.Name)
 		if !ok {
 			return errf(st.P, "undefined variable %s", st.Name)
 		}
-		if vt.Kind != TArray {
+		if vb.t.Kind != TArray {
 			return errf(st.P, "%s is not an array", st.Name)
 		}
+		st.Slot = vb.slot
 		it, err := c.checkExpr(st.Idx)
 		if err != nil {
 			return err
@@ -227,10 +257,12 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 	case *BoolLit:
 		return Type{Kind: TBool}, nil
 	case *Ident:
-		t, ok := c.lookup(x.Name)
+		b, ok := c.lookup(x.Name)
 		if !ok {
 			return Type{}, errf(x.P, "undefined variable %s", x.Name)
 		}
+		t := b.t
+		x.Slot = b.slot
 		if t.Kind == TArray {
 			return Type{}, errf(x.P, "array %s used without an index", x.Name)
 		}
@@ -239,13 +271,14 @@ func (c *checker) checkExpr(e Expr) (Type, error) {
 		}
 		return t, nil
 	case *Index:
-		t, ok := c.lookup(x.Name)
+		b, ok := c.lookup(x.Name)
 		if !ok {
 			return Type{}, errf(x.P, "undefined variable %s", x.Name)
 		}
-		if t.Kind != TArray {
+		if b.t.Kind != TArray {
 			return Type{}, errf(x.P, "%s is not an array", x.Name)
 		}
+		x.Slot = b.slot
 		it, err := c.checkExpr(x.Idx)
 		if err != nil {
 			return Type{}, err
@@ -320,13 +353,14 @@ func (c *checker) checkCall(x *Call, asStmt bool) (Type, error) {
 				if !ok {
 					return Type{}, errf(a.Pos(), "argument %d of %s must be an array variable", i+1, x.Name)
 				}
-				at, ok := c.lookup(id.Name)
-				if !ok || at.Kind != TArray {
-					return Type{}, errf(a.Pos(), "argument %d of %s must be an array, got %s", i+1, x.Name, at)
+				ab, ok := c.lookup(id.Name)
+				if !ok || ab.t.Kind != TArray {
+					return Type{}, errf(a.Pos(), "argument %d of %s must be an array, got %s", i+1, x.Name, ab.t)
 				}
-				if at.Len != want.Len {
-					return Type{}, errf(a.Pos(), "argument %d of %s: array length %d, want %d", i+1, x.Name, at.Len, want.Len)
+				if ab.t.Len != want.Len {
+					return Type{}, errf(a.Pos(), "argument %d of %s: array length %d, want %d", i+1, x.Name, ab.t.Len, want.Len)
 				}
+				id.Slot = ab.slot
 				continue
 			}
 			if want.Kind == TFunc {
@@ -336,13 +370,14 @@ func (c *checker) checkCall(x *Call, asStmt bool) (Type, error) {
 				if !ok {
 					return Type{}, errf(a.Pos(), "argument %d of %s must be a function parameter", i+1, x.Name)
 				}
-				at, ok := c.lookup(id.Name)
-				if !ok || at.Kind != TFunc {
-					return Type{}, errf(a.Pos(), "argument %d of %s must be a function, got %s", i+1, x.Name, at)
+				ab, ok := c.lookup(id.Name)
+				if !ok || ab.t.Kind != TFunc {
+					return Type{}, errf(a.Pos(), "argument %d of %s must be a function, got %s", i+1, x.Name, ab.t)
 				}
-				if at.Len != want.Len {
-					return Type{}, errf(a.Pos(), "argument %d of %s: function arity %d, want %d", i+1, x.Name, at.Len, want.Len)
+				if ab.t.Len != want.Len {
+					return Type{}, errf(a.Pos(), "argument %d of %s: function arity %d, want %d", i+1, x.Name, ab.t.Len, want.Len)
 				}
+				id.Slot = ab.slot
 				continue
 			}
 			at, err := c.checkExpr(a)
@@ -358,11 +393,12 @@ func (c *checker) checkCall(x *Call, asStmt bool) (Type, error) {
 		}
 		return Type{Kind: TInt}, nil
 	}
-	if t, ok := c.lookup(x.Name); ok && t.Kind == TFunc {
+	if b, ok := c.lookup(x.Name); ok && b.t.Kind == TFunc {
 		// A call through a function-typed parameter: the callback input.
 		x.Param = true
-		if len(x.Args) != t.Len {
-			return Type{}, errf(x.P, "function %s expects %d arguments, got %d", x.Name, t.Len, len(x.Args))
+		x.Slot = b.slot
+		if len(x.Args) != b.t.Len {
+			return Type{}, errf(x.P, "function %s expects %d arguments, got %d", x.Name, b.t.Len, len(x.Args))
 		}
 		for i, a := range x.Args {
 			at, err := c.checkExpr(a)

@@ -154,6 +154,72 @@ fn main(x int) {
 	}
 }
 
+// TestCheckAssignsSlots pins the frame layout Check computes: parameters
+// first, then each declaration in the next free slot of its block, with a
+// later sibling block reusing the slots of an earlier one.
+func TestCheckAssignsSlots(t *testing.T) {
+	p := mustProg(t, `
+fn get(buf [3]int, k int) int {
+	return buf[k];
+}
+fn main(a int, f fn(int) int) int {
+	var r = 0;
+	if (a > 0) {
+		var x = a + 1;
+		var y = x;
+		r = f(y);
+	} else {
+		var x [3];
+		x[2] = a;
+		r = get(x, 2);
+	}
+	while (r < 10) {
+		var chunk [6];
+		chunk[0] = r;
+		r = r + chunk[0] + 1;
+	}
+	return r;
+}`)
+	if got := p.Funcs["get"].FrameSize; got != 2 {
+		t.Errorf("get: FrameSize = %d, want 2", got)
+	}
+	main := p.Funcs["main"]
+	if main.FrameSize != 5 {
+		t.Errorf("main: FrameSize = %d, want 5", main.FrameSize)
+	}
+	body := main.Body.Stmts
+	if s := body[0].(*VarDecl).Slot; s != 2 {
+		t.Errorf("r: slot %d, want 2", s)
+	}
+	iff := body[1].(*If)
+	then, els := iff.Then.Stmts, iff.Else.(*Block).Stmts
+	if x, y := then[0].(*VarDecl), then[1].(*VarDecl); x.Slot != 3 || y.Slot != 4 || y.Init.(*Ident).Slot != 3 {
+		t.Errorf("then block: x slot %d, y slot %d reading slot %d; want 3, 4 reading 3", x.Slot, y.Slot, y.Init.(*Ident).Slot)
+	}
+	call := then[2].(*Assign).Val.(*Call)
+	if !call.Param || call.Slot != 1 || call.Args[0].(*Ident).Slot != 4 {
+		t.Errorf("f(y): param %v slot %d, argument slot %d; want true, 1, 4", call.Param, call.Slot, call.Args[0].(*Ident).Slot)
+	}
+	if x := els[0].(*ArrDecl); x.Slot != 3 {
+		t.Errorf("else block: array x slot %d, want 3 (reused)", x.Slot)
+	}
+	if st := els[1].(*IndexAssign); st.Slot != 3 || st.Val.(*Ident).Slot != 0 {
+		t.Errorf("x[2] = a: slots %d and %d, want 3 and 0", st.Slot, st.Val.(*Ident).Slot)
+	}
+	get := els[2].(*Assign)
+	if get.Slot != 2 || get.Val.(*Call).Args[0].(*Ident).Slot != 3 {
+		t.Errorf("r = get(x, 2): slots %d and %d, want 2 and 3", get.Slot, get.Val.(*Call).Args[0].(*Ident).Slot)
+	}
+	loop := body[2].(*While).Body.Stmts
+	if c := loop[0].(*ArrDecl); c.Slot != 3 {
+		t.Errorf("chunk: slot %d, want 3", c.Slot)
+	}
+	read := loop[2].(*Assign).Val.(*Binary).X.(*Binary).Y.(*Index)
+	if read.Slot != 3 {
+		t.Errorf("chunk[0]: slot %d, want 3", read.Slot)
+	}
+}
+
 func TestShape(t *testing.T) {
 	p := mustProg(t, `fn main(x int, s [3]int, y int) {}`)
 	sh := p.Shape()

@@ -85,7 +85,7 @@ func (c *Cmp) Negate() Expr {
 		return &Cmp{Op: OpEq, S: c.S}
 	case OpLe:
 		// ¬(S ≤ 0)  ⇔  S > 0  ⇔  S ≥ 1  ⇔  1-S ≤ 0.
-		return &Cmp{Op: OpLe, S: AddSum(Int(1), NegSum(c.S))}
+		return &Cmp{Op: OpLe, S: addConst(NegSum(c.S), 1)}
 	}
 	panic("sym: bad CmpOp")
 }
@@ -200,7 +200,7 @@ func Ne(a, b *Sum) Expr { return cmp(OpNe, SubSum(a, b)) }
 func Le(a, b *Sum) Expr { return cmp(OpLe, SubSum(a, b)) }
 
 // Lt returns the formula a < b (folded to a+1 ≤ b over the integers).
-func Lt(a, b *Sum) Expr { return cmp(OpLe, AddSum(SubSum(a, b), Int(1))) }
+func Lt(a, b *Sum) Expr { return cmp(OpLe, addConst(SubSum(a, b), 1)) }
 
 // Ge returns the formula a ≥ b.
 func Ge(a, b *Sum) Expr { return Le(b, a) }
