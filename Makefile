@@ -80,14 +80,15 @@ bench:
 # (BenchmarkSolveIncrementalWarmRefute: a shared base, sibling cases, a
 # retained theory lemma), so it cannot bit-rot between full benchmark runs;
 # and likewise the checkpoint save/load benchmarks (lexer snapshot at run 270,
-# reporting bytes per checkpoint). It also runs one 150-run E12 lexer search
+# reporting bytes per checkpoint) and a 300-run lexer search checkpointing
+# every 30 runs into a campaign (reporting the bytes it wrote). It also runs one 150-run E12 lexer search
 # with -benchmem, so every log shows a search's B/op and allocs/op, and its
 # proofs/op (the proofs the proof cache did not answer); and one concolic
 # execution of the lexer, so the log shows one execution's allocs/op next to
 # them.
 bench-smoke:
 	$(GO) test ./internal/smt/ -run '^$$' -bench 'SolveIncrementalWarmRefute$$' -benchtime 1x
-	$(GO) test ./internal/campaign/ -run '^$$' -bench 'SaveCheckpoint|LoadCheckpoint' -benchtime 1x
+	$(GO) test ./internal/campaign/ -run '^$$' -bench 'SaveCheckpoint|LoadCheckpoint|CheckpointedSearch' -benchtime 1x
 	$(GO) test . -run '^$$' -bench 'SearchParallel1$$|ConcolicRunLexer$$' -benchtime 1x -benchmem
 
 # bench-json captures the quick experiment suite with per-experiment metric

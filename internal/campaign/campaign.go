@@ -29,6 +29,10 @@ type Campaign struct {
 	fresh    map[string]bool // hashes added this session, not yet committed
 	buckets  map[string]*Bucket
 	newBugs  int // buckets first created this session
+	// ckptBuf is the last checkpoint file's buffer, reused by the next one:
+	// a campaign's snapshots grow, and a fresh buffer of that size costs
+	// zeroing and collection at every checkpoint.
+	ckptBuf []byte
 }
 
 // Open opens (creating if needed) the campaign directory for one

@@ -41,19 +41,29 @@ func (c *Campaign) latestPath() string { return filepath.Join(c.checkpointsDir()
 // SaveCheckpoint persists a snapshot as checkpoints/ckpt-<runs>.json and
 // repoints latest.json at it. Intended as the search's Checkpoint.Sink.
 func (c *Campaign) SaveCheckpoint(s *search.Snapshot) error {
-	payload, err := json.Marshal(s)
+	// Frame the envelope by appending, not by marshalling a checkpointEnvelope:
+	// the snapshot is encoded straight into the file's buffer after a
+	// placeholder for its hash, which is filled in once the payload is there.
+	// The bytes are the same as that Marshal's.
+	data := c.ckptBuf[:0]
+	if want := len(c.ckptBuf) + len(c.ckptBuf)/4; cap(data) < want {
+		// Snapshots grow: leave room for this one and the next few rather
+		// than copying a full buffer as it overflows.
+		data = make([]byte, 0, want+want/4)
+	}
+	data = fmt.Appendf(data, `{"format_version":%d,"runs":%d,"sha256":"`, CheckpointFormatVersion, s.Runs)
+	sumAt := len(data)
+	data = append(data, make([]byte, hex.EncodedLen(sha256.Size))...)
+	data = append(data, `","snapshot":`...)
+	start := len(data)
+	data, err := s.AppendJSON(data)
 	if err != nil {
 		return fmt.Errorf("campaign: encoding snapshot: %w", err)
 	}
-	// Frame the envelope by appending, not by marshalling a checkpointEnvelope:
-	// json.Marshal would re-scan the (already compact) payload to compact it
-	// as a RawMessage. The bytes are the same as that Marshal's.
-	sum := sha256.Sum256(payload)
-	data := make([]byte, 0, len(payload)+128)
-	data = fmt.Appendf(data, `{"format_version":%d,"runs":%d,"sha256":"%x","snapshot":`,
-		CheckpointFormatVersion, s.Runs, sum)
-	data = append(data, payload...)
+	sum := sha256.Sum256(data[start:])
+	hex.Encode(data[sumAt:], sum[:])
 	data = append(data, "}\n"...)
+	c.ckptBuf = data
 	name := fmt.Sprintf("ckpt-%09d.json", s.Runs)
 	if err := WriteFileAtomic(filepath.Join(c.checkpointsDir(), name), data, 0o644); err != nil {
 		return err

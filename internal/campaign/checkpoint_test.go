@@ -162,6 +162,41 @@ func BenchmarkLoadCheckpoint(b *testing.B) {
 	reportCheckpointBytes(b, path)
 }
 
+// BenchmarkCheckpointedSearch times a whole 300-run lexer search at one
+// worker that checkpoints every 30 runs into a campaign, as a persistent
+// campaign does, and reports the checkpoint bytes it wrote.
+func BenchmarkCheckpointedSearch(b *testing.B) {
+	w, _ := lexapp.Get("lexer")
+	prog := w.Build()
+	var written int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := campaign.Open(b.TempDir(), "lexer", "higher-order", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		eng := concolic.New(prog, concolic.ModeHigherOrder)
+		b.StartTimer()
+		st := search.Run(eng, search.Options{
+			MaxRuns: 300, Seeds: w.Seeds, Bounds: w.Bounds, Workers: 1,
+			Checkpoint: search.CheckpointOptions{Every: 30, Sink: func(s *search.Snapshot) error {
+				if err := c.SaveCheckpoint(s); err != nil {
+					return err
+				}
+				fi, err := os.Stat(filepath.Join(c.Dir, "checkpoints", fmt.Sprintf("ckpt-%09d.json", s.Runs)))
+				if err == nil {
+					written += fi.Size()
+				}
+				return err
+			}},
+		})
+		if st.CheckpointError != "" || st.Checkpoints == 0 {
+			b.Fatalf("%d checkpoints, error %q", st.Checkpoints, st.CheckpointError)
+		}
+	}
+	b.ReportMetric(float64(written)/float64(b.N), "ckpt_bytes/op")
+}
+
 func reportCheckpointBytes(b *testing.B, path string) {
 	fi, err := os.Stat(path)
 	if err != nil {

@@ -39,10 +39,21 @@ import (
 // Only the coordinator goroutine reads or writes the cache (workers receive
 // the already-filtered miss list), so it needs no lock. Cached strategies are
 // shared across targets; consumers copy-on-extend (fol.FillFallback) rather
-// than mutate.
+// than mutate. An entry, once stored, is never replaced, which is what lets
+// checkpoints encode each entry once (see records).
 type proofCache struct {
 	prove map[proveKey]proveEntry
 	solve map[string]solveEntry
+
+	// track is set by a session's first snapshot (records). From then on
+	// the cache lists the keys stored since the last snapshot (newProve,
+	// newSolve) and keeps the snapshot records of every older entry,
+	// sorted and encoded (proveRecs, solveRecs).
+	track     bool
+	newProve  []proveKey
+	newSolve  []string
+	proveRecs []proveRec
+	solveRecs []solveRec
 }
 
 // proveKey keys a higher-order entry: the formula's canonical string and the
@@ -101,12 +112,38 @@ func (c *proofCache) lookupProve(k proveKey) (proveEntry, bool) {
 }
 
 // storeProve caches a verdict found under key k; a Proved verdict is stored
-// for every version.
+// for every version. A key already present keeps its entry.
 func (c *proofCache) storeProve(k proveKey, e proveEntry) {
 	if e.outcome == fol.OutcomeProved {
 		k.version = anyVersion
 	}
+	c.putProve(k, e)
+}
+
+// putProve stores e under k exactly, reporting false (and keeping the old
+// entry) if k is already present.
+func (c *proofCache) putProve(k proveKey, e proveEntry) bool {
+	if _, ok := c.prove[k]; ok {
+		return false
+	}
 	c.prove[k] = e
+	if c.track {
+		c.newProve = append(c.newProve, k)
+	}
+	return true
+}
+
+// storeSolve caches a satisfiability verdict for formula, reporting false
+// (and keeping the old entry) if formula is already present.
+func (c *proofCache) storeSolve(formula string, e solveEntry) bool {
+	if _, ok := c.solve[formula]; ok {
+		return false
+	}
+	c.solve[formula] = e
+	if c.track {
+		c.newSolve = append(c.newSolve, formula)
+	}
+	return true
 }
 
 // String renders the key as a checkpoint writes it: "v|formula", or

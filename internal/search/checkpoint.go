@@ -83,9 +83,10 @@ type RunRecord struct {
 }
 
 // Snapshot is the serializable coordinator state of a search at a work-loop
-// boundary. It is pure data (JSON-marshalable), produced by the checkpoint
-// sink and accepted by Options.Restore. Snapshots share slices with the live
-// search: serialize or discard them, do not mutate.
+// boundary. It is pure data (JSON-marshalable, see AppendJSON), produced by
+// the checkpoint sink and accepted by Options.Restore. Snapshots share slices
+// and encoded records with the live search and with each other: serialize or
+// discard them, do not mutate.
 type Snapshot struct {
 	FormatVersion int `json:"format_version"`
 	// Mode, Branches, and Inputs identify the engine configuration the
@@ -160,6 +161,9 @@ type itemRec struct {
 	Rung     int         `json:"rung,omitempty"`
 	NoExpand bool        `json:"no_expand,omitempty"`
 	Pending  *pendingRec `json:"pending,omitempty"`
+	// enc is the record's encoding, kept by the item it came from (see
+	// item.record); nil in a decoded snapshot.
+	enc []byte
 }
 
 // pendingRec is the serialized form of a multi-step continuation.
@@ -176,8 +180,9 @@ type pendingRec struct {
 
 // Expected traces and dedup keys are most of a snapshot's bytes, so both are
 // packed: a sequence of uvarints (and, for keys, raw bytes), written as one
-// base64 string. The types below are TextMarshalers, not json.Marshalers, so
-// encoding/json writes the string without re-scanning it. Decoding is strict:
+// base64 string (see packer). The types below are TextMarshalers, not
+// json.Marshalers, so encoding/json writes the string without re-scanning it.
+// Decoding is strict:
 // bad base64, a truncated, overlong or non-minimal uvarint, or any value out
 // of range is an error, never a silently dropped element.
 
@@ -191,7 +196,7 @@ type trace []mini.BranchEvent
 
 // MarshalText implements encoding.TextMarshaler.
 func (t trace) MarshalText() ([]byte, error) {
-	packed := make([]byte, 0, len(t)+len(t)/4)
+	p := packer{dst: make([]byte, 0, base64.StdEncoding.EncodedLen(len(t)+len(t)/4))}
 	for i, ev := range t {
 		if i == len(t)-1 {
 			ev.Taken = !ev.Taken
@@ -200,9 +205,9 @@ func (t trace) MarshalText() ([]byte, error) {
 		if ev.Taken {
 			v |= 1
 		}
-		packed = binary.AppendUvarint(packed, v)
+		p.uvarint(v)
 	}
-	return encodePacked(packed), nil
+	return p.finish(), nil
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler.
@@ -247,21 +252,36 @@ func checkTrace(t trace, branches int) error {
 type keySet []string
 
 // MarshalText implements encoding.TextMarshaler. The keys must be sorted and
-// distinct (sortedKeys of a set).
-func (ks keySet) MarshalText() ([]byte, error) {
-	var packed []byte
+// distinct (dedupSet.keys).
+func (ks keySet) MarshalText() ([]byte, error) { return ks.appendText(nil), nil }
+
+// appendText appends the text MarshalText returns to dst.
+func (ks keySet) appendText(dst []byte) []byte {
+	p := packer{dst: dst}
 	prev := ""
 	for _, k := range ks {
-		n := 0
-		for n < len(prev) && n < len(k) && prev[n] == k[n] {
-			n++
-		}
-		packed = binary.AppendUvarint(packed, uint64(n))
-		packed = binary.AppendUvarint(packed, uint64(len(k)-n))
-		packed = append(packed, k[n:]...)
+		n := sharedPrefix(prev, k)
+		p.uvarint(uint64(n))
+		p.uvarint(uint64(len(k) - n))
+		p.bytes(k[n:])
 		prev = k
 	}
-	return encodePacked(packed), nil
+	return p.finish()
+}
+
+// sharedPrefix returns the length of the longest common prefix of a and b.
+// Sorted dedup keys share long prefixes, so it compares 16 bytes at a time
+// before finding the first difference.
+func sharedPrefix(a, b string) int {
+	m := min(len(a), len(b))
+	n := 0
+	for n+16 <= m && a[n:n+16] == b[n:n+16] {
+		n += 16
+	}
+	for n < m && a[n] == b[n] {
+		n++
+	}
+	return n
 }
 
 // UnmarshalText implements encoding.TextUnmarshaler. Keys out of order or
@@ -299,22 +319,7 @@ func (ks *keySet) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// set returns the keys as a membership map.
-func (ks keySet) set() map[string]bool {
-	m := make(map[string]bool, len(ks))
-	for _, k := range ks {
-		m[k] = true
-	}
-	return m
-}
-
-// encodePacked and decodePacked are the base64 layer of the packed forms.
-func encodePacked(packed []byte) []byte {
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(packed)))
-	base64.StdEncoding.Encode(out, packed)
-	return out
-}
-
+// decodePacked is the base64 layer of the packed forms.
 func decodePacked(text []byte) ([]byte, error) {
 	packed := make([]byte, base64.StdEncoding.DecodedLen(len(text)))
 	n, err := base64.StdEncoding.Strict().Decode(packed, text)
@@ -340,6 +345,7 @@ type proveRec struct {
 	Key      string           `json:"key"`
 	Outcome  string           `json:"outcome"`
 	Strategy *fol.StrategyRec `json:"strategy,omitempty"`
+	enc      []byte           // see proofCache.records
 }
 
 // solveRec is one satisfiability-cache entry.
@@ -347,6 +353,7 @@ type solveRec struct {
 	Key    string     `json:"key"`
 	Status string     `json:"status"`
 	Model  *smt.Model `json:"model,omitempty"`
+	enc    []byte     // see proofCache.records
 }
 
 // encodeRec flattens the statistics into their serialized form.
@@ -568,18 +575,6 @@ func decodeItem(rec itemRec, res *sym.Resolver, branches int) (item, error) {
 	return it, nil
 }
 
-func encodeItems(items []item) ([]itemRec, error) {
-	out := make([]itemRec, 0, len(items))
-	for _, it := range items {
-		rec, err := encodeItem(it)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
 func decodeItems(recs []itemRec, res *sym.Resolver, branches int) ([]item, error) {
 	var out []item
 	for i, rec := range recs {
@@ -592,7 +587,8 @@ func decodeItems(recs []itemRec, res *sym.Resolver, branches int) ([]item, error
 	return out, nil
 }
 
-// snapshot serializes the full coordinator state at a work-loop boundary.
+// snapshot serializes the full coordinator state at a work-loop boundary,
+// reusing what earlier snapshots of the session encoded (see encode.go).
 func (s *searcher) snapshot() (*Snapshot, error) {
 	snap := &Snapshot{
 		FormatVersion: SnapshotFormatVersion,
@@ -602,8 +598,8 @@ func (s *searcher) snapshot() (*Snapshot, error) {
 		MaxRuns:       s.opts.MaxRuns,
 		Runs:          s.stats.Runs,
 		Stats:         s.stats.encodeRec(),
-		Tried:         sortedKeys(s.tried),
-		Targeted:      sortedKeys(s.targeted),
+		Tried:         s.tried.keys(),
+		Targeted:      s.targeted.keys(),
 	}
 	if s.eng.Samples.Len() > 0 {
 		var buf bytes.Buffer
@@ -613,27 +609,14 @@ func (s *searcher) snapshot() (*Snapshot, error) {
 		snap.Samples = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 	}
 	var err error
-	if snap.Hot, err = encodeItems(s.hot); err != nil {
+	if snap.Hot, err = queueRecs(s.hot); err != nil {
 		return nil, err
 	}
-	if snap.Cold, err = encodeItems(s.cold); err != nil {
+	if snap.Cold, err = queueRecs(s.cold); err != nil {
 		return nil, err
 	}
-	proveKeys := make(map[string]proveKey, len(s.cache.prove))
-	for k := range s.cache.prove {
-		proveKeys[k.String()] = k
-	}
-	for _, ks := range sortedKeys(proveKeys) {
-		e := s.cache.prove[proveKeys[ks]]
-		strat, err := fol.EncodeStrategy(e.strategy)
-		if err != nil {
-			return nil, err
-		}
-		snap.Prove = append(snap.Prove, proveRec{Key: ks, Outcome: e.outcome.String(), Strategy: strat})
-	}
-	for _, k := range sortedKeys(s.cache.solve) {
-		e := s.cache.solve[k]
-		snap.Solve = append(snap.Solve, solveRec{Key: k, Status: e.status.String(), Model: e.model})
+	if snap.Prove, snap.Solve, err = s.cache.records(); err != nil {
+		return nil, err
 	}
 	return snap, nil
 }
@@ -670,7 +653,8 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 	if s.cold, err = decodeItems(snap.Cold, res, snap.Branches); err != nil {
 		return err
 	}
-	s.tried, s.targeted = snap.Tried.set(), snap.Targeted.set()
+	s.tried.reset(snap.Tried)
+	s.targeted.reset(snap.Targeted)
 	for _, rec := range snap.Prove {
 		key, err := parseProveKey(rec.Key)
 		if err != nil {
@@ -684,14 +668,18 @@ func (s *searcher) restoreSnapshot(snap *Snapshot) error {
 		if err != nil {
 			return fmt.Errorf("search: prove cache entry %q: %w", rec.Key, err)
 		}
-		s.cache.prove[key] = proveEntry{strategy: strat, outcome: outcome}
+		if !s.cache.putProve(key, proveEntry{strategy: strat, outcome: outcome}) {
+			return fmt.Errorf("search: prove cache entry %q appears twice", rec.Key)
+		}
 	}
 	for _, rec := range snap.Solve {
 		status, ok := smt.ParseStatus(rec.Status)
 		if !ok {
 			return fmt.Errorf("search: solve cache entry %q has unknown status %q", rec.Key, rec.Status)
 		}
-		s.cache.solve[rec.Key] = solveEntry{status: status, model: rec.Model}
+		if !s.cache.storeSolve(rec.Key, solveEntry{status: status, model: rec.Model}) {
+			return fmt.Errorf("search: solve cache entry %q appears twice", rec.Key)
+		}
 	}
 	s.lastCkpt = s.stats.Runs
 	return nil

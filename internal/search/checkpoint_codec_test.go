@@ -270,7 +270,8 @@ func TestProveKeyParse(t *testing.T) {
 // TestProveCacheKeysRoundTrip: a lexer snapshot holds prove cache entries of
 // both kinds, version-keyed ("v|formula") and version-free ("*|formula");
 // restoring it rebuilds the same keys, and the restored searcher snapshots to
-// the same bytes. A snapshot with a malformed key is rejected, naming it.
+// the same bytes. A snapshot with a malformed key is rejected, naming it, and
+// so is one that repeats a record.
 func TestProveCacheKeysRoundTrip(t *testing.T) {
 	w, _ := lexapp.Get("lexer")
 	var last *Snapshot
@@ -332,5 +333,127 @@ func TestProveCacheKeysRoundTrip(t *testing.T) {
 	err = bad.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder))
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", bad.Prove[0].Key)) {
 		t.Errorf("snapshot with malformed key %q: Validate error %v, want one naming the key", bad.Prove[0].Key, err)
+	}
+
+	// A record repeated is an error too: the cache never holds two entries
+	// under one key, and restoring one would silently drop the other.
+	dup := snap
+	dup.Prove = append(append([]proveRec(nil), snap.Prove[0]), snap.Prove...)
+	err = dup.Validate(concolic.New(w.Build(), concolic.ModeHigherOrder))
+	if err == nil || !strings.Contains(err.Error(), "appears twice") {
+		t.Errorf("snapshot with a repeated prove record: Validate error %v, want one saying it appears twice", err)
+	}
+}
+
+// reflectedSnapshot has Snapshot's fields and none of its methods, so
+// encoding/json encodes it by reflection.
+type reflectedSnapshot Snapshot
+
+// TestSnapshotEncoderMatchesReflection: at every checkpoint of a spread of
+// searches, AppendJSON (and json.Marshal through MarshalJSON) writes exactly
+// the bytes encoding/json's reflection writes for the same snapshot. The
+// searches between them hold pending continuations (packet with Refute:
+// the lexer's and scanner's continuations never outlive a checkpoint),
+// function inputs (cb-fold) and a solve cache (dart-unsound), and the
+// resumed session's first checkpoint is encoded with an empty memo; that
+// checkpoint must also equal the uninterrupted session's at the same run.
+// The bytes cover branch_cov's map-key order ("10" before "2") and
+// HTML-escaped formula keys ("<=" as "\u003c=").
+func TestSnapshotEncoderMatchesReflection(t *testing.T) {
+	type seen struct{ pending, funcs, solve, keyOrder, escaped bool }
+	check := func(t *testing.T, snap *Snapshot, saw *seen) []byte {
+		t.Helper()
+		got, err := snap.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal((*reflectedSnapshot)(snap))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("run %d: AppendJSON differs from reflection at byte %d:\nreflection: %.200s\nAppendJSON: %.200s", snap.Runs, i, want[i:], got[i:])
+		}
+		if viaMarshal, err := json.Marshal(snap); err != nil || !bytes.Equal(viaMarshal, want) {
+			t.Fatalf("run %d: json.Marshal differs from reflection (err %v)", snap.Runs, err)
+		}
+		for _, it := range append(append([]itemRec(nil), snap.Hot...), snap.Cold...) {
+			saw.pending = saw.pending || it.Pending != nil
+			saw.funcs = saw.funcs || it.Funcs != nil
+		}
+		saw.solve = saw.solve || len(snap.Solve) > 0
+		if cov := want[bytes.Index(want, []byte(`"branch_cov":{`)):]; bytes.Contains(cov, []byte(`"10":`)) {
+			saw.keyOrder = true
+			if bytes.Index(cov, []byte(`"10":`)) > bytes.Index(cov, []byte(`"2":`)) {
+				t.Fatalf("run %d: branch_cov key \"10\" follows \"2\"", snap.Runs)
+			}
+		}
+		saw.escaped = saw.escaped || bytes.Contains(want, []byte(`\u003c=`))
+		if bytes.Contains(want, []byte("<=")) {
+			t.Fatalf("run %d: unescaped \"<=\" in snapshot bytes", snap.Runs)
+		}
+		return got
+	}
+	cases := []struct {
+		name  string
+		w     *lexapp.Workload
+		mode  concolic.Mode
+		opts  Options
+		every int
+		need  func(seen) bool
+	}{
+		{"lexer-ho", lexapp.Lexer(), concolic.ModeHigherOrder, Options{MaxRuns: 300}, 30,
+			func(s seen) bool { return s.keyOrder && s.escaped }},
+		{"packet-refute", lexapp.Packet(), concolic.ModeHigherOrder, Options{MaxRuns: 60, Refute: true}, 2,
+			func(s seen) bool { return s.pending }},
+		{"cb-fold", lexapp.CallbackFold(), concolic.ModeHigherOrder, Options{MaxRuns: 60}, 1,
+			func(s seen) bool { return s.funcs }},
+		{"lexer-dart", lexapp.Lexer(), concolic.ModeUnsound, Options{MaxRuns: 120}, 30,
+			func(s seen) bool { return s.solve }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var saw seen
+			var whole [][]byte
+			var snaps []*Snapshot
+			opts := tc.opts
+			opts.Seeds, opts.Bounds, opts.Workers = tc.w.Seeds, tc.w.Bounds, 1
+			opts.Checkpoint = CheckpointOptions{Every: tc.every, Sink: func(s *Snapshot) error {
+				whole = append(whole, check(t, s, &saw))
+				snaps = append(snaps, s)
+				return nil
+			}}
+			Run(concolic.New(tc.w.Build(), tc.mode), opts)
+			if len(snaps) < 2 {
+				t.Fatalf("%d checkpoints, want at least 2", len(snaps))
+			}
+			if !tc.need(saw) {
+				t.Fatalf("the snapshots do not hold what this case covers: %+v", saw)
+			}
+
+			// Resume from the middle checkpoint, decoded from its bytes.
+			mid := (len(snaps) - 1) / 2
+			var decoded Snapshot
+			if err := json.Unmarshal(whole[mid], &decoded); err != nil {
+				t.Fatal(err)
+			}
+			var resumed [][]byte
+			opts.Restore = &decoded
+			opts.Checkpoint.Sink = func(s *Snapshot) error {
+				resumed = append(resumed, check(t, s, &saw))
+				return nil
+			}
+			Run(concolic.New(tc.w.Build(), tc.mode), opts)
+			if len(resumed) == 0 {
+				t.Fatal("the resumed session took no checkpoint")
+			}
+			if !bytes.Equal(resumed[0], whole[mid+1]) {
+				t.Errorf("the resumed session's first checkpoint differs from the uninterrupted session's at run %d", snaps[mid+1].Runs)
+			}
+		})
 	}
 }

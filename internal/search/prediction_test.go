@@ -123,8 +123,6 @@ func expandOnce(t *testing.T, mode concolic.Mode) (*concolic.Execution, []item) 
 		opts:      Options{MaxRuns: 100, MaxMultiStep: 3, ProverNodes: 4000, Workers: 1},
 		stats:     newStats(mode.String(), eng.Prog.NumBranches),
 		cache:     newProofCache(),
-		tried:     map[string]bool{},
-		targeted:  map[string]bool{},
 		varBounds: map[int]smt.Bound{},
 	}
 	s.stats.ProofsPerWorker = make([]int64, 1)

@@ -108,6 +108,11 @@ type item struct {
 	// noExpand marks sample-collection (intermediate) runs, which are not
 	// expanded into new targets.
 	noExpand bool
+	// ckpt is the item's checkpoint record, built (and encoded) by the first
+	// snapshot that finds the item queued and reused by every later one. A
+	// queued item is never modified; a re-enqueued continuation is a new
+	// item, so a record never outlives the state it encodes.
+	ckpt *itemRec
 }
 
 // pendingTarget is a multi-step continuation: a proved strategy whose
@@ -332,8 +337,9 @@ type searcher struct {
 	// chunk — stay hot instead of drowning in breadth-first noise.
 	hot, cold []item
 	varBounds map[int]smt.Bound
-	tried     map[string]bool
-	targeted  map[string]bool
+	// tried holds the run keys of executed inputs, targeted the dedup keys
+	// of expanded branch targets.
+	tried, targeted dedupSet
 	// cache memoizes per-target proof and satisfiability results; see
 	// cache.go. Only the coordinator touches it.
 	cache *proofCache
@@ -445,7 +451,7 @@ func (s *searcher) nextBatch() ([]item, batchSource) {
 			it := s.hot[0]
 			s.hot = s.hot[1:]
 			key := s.runKey(it.input, it.funcs)
-			if s.tried[key] || batchKeys[key] {
+			if s.tried.has(key) || batchKeys[key] {
 				continue
 			}
 			if batchKeys == nil {
@@ -459,7 +465,7 @@ func (s *searcher) nextBatch() ([]item, batchSource) {
 	if len(s.cold) > 0 {
 		it := s.cold[0]
 		s.cold = s.cold[1:]
-		if s.tried[s.runKey(it.input, it.funcs)] {
+		if s.tried.has(s.runKey(it.input, it.funcs)) {
 			return nil, srcRun
 		}
 		return []item{it}, srcRun
@@ -468,12 +474,6 @@ func (s *searcher) nextBatch() ([]item, batchSource) {
 }
 
 func (s *searcher) run() {
-	if s.tried == nil {
-		s.tried = map[string]bool{}
-	}
-	if s.targeted == nil {
-		s.targeted = map[string]bool{}
-	}
 	for s.stats.Runs < s.opts.MaxRuns {
 		s.publishLive()
 		if s.stopEarly() {
@@ -593,7 +593,7 @@ func (s *searcher) processBatch(batch []item) bool {
 			// still counts as tried so the queue cannot loop on it; nothing is
 			// merged or recorded — a partial run's coverage would make reports
 			// depend on cancellation timing.
-			s.tried[s.runKey(it.input, it.funcs)] = true
+			s.tried.add(s.runKey(it.input, it.funcs))
 			if r.panicked {
 				s.stats.Budget.ExecFailures++
 				if tracing {
@@ -606,7 +606,7 @@ func (s *searcher) processBatch(batch []item) bool {
 		if r.overlay != nil {
 			s.eng.Samples.MergeLocal(r.overlay)
 		}
-		s.tried[s.runKey(it.input, it.funcs)] = true
+		s.tried.add(s.runKey(it.input, it.funcs))
 		bugsBefore := len(s.stats.Bugs)
 		funcsText := s.funcsText(it.funcs)
 		gained := s.stats.recordRunFuncs(r.ex.Result, it.input, funcsText)
@@ -780,8 +780,7 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 			continue
 		}
 		negated := sym.NotExpr(c.Expr)
-		if key := keys.key(c.EventIndex, negated); !s.targeted[string(key)] {
-			s.targeted[string(key)] = true
+		if key := keys.key(c.EventIndex, negated); s.targeted.insert(key) {
 			t := &target{alt: prefix.slice(negated), k: k, worker: -1}
 			if hasInputFn(t.alt, fnInputs) {
 				// The target constrains a function-valued input: it is solved
@@ -1010,7 +1009,7 @@ func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, ho
 			// A timed-out query is not cached: the verdict records wall-clock
 			// exhaustion, not a property of the formula.
 			if t.status != smt.StatusTimeout {
-				s.cache.solve[t.key.formula] = solveEntry{status: t.status, model: t.model}
+				s.cache.storeSolve(t.key.formula, solveEntry{status: t.status, model: t.model})
 			}
 		}
 		if t.status == smt.StatusTimeout {
@@ -1126,7 +1125,7 @@ func (s *searcher) inBounds(input []int64) bool {
 // produced it (RungProof for strategies, RungQF for plain solving, lower for
 // degraded targets).
 func (s *searcher) enqueueTest(input []int64, funcs []*mini.FuncValue, expected concolic.Prediction, bound int, hot bool, rung Rung) {
-	if s.tried[s.runKey(input, funcs)] {
+	if s.tried.has(s.runKey(input, funcs)) {
 		return
 	}
 	s.stats.TestsGenerated++

@@ -96,18 +96,21 @@ func (s *SampleStore) Add(f *Func, args []int64, out int64) bool {
 		fs = &fnSamples{index: make(map[string]int)}
 		s.byFn[f] = fs
 	}
-	k := argsKey(args)
-	if i, ok := fs.index[k]; ok {
+	// Probe with a stack-buffer key, as Lookup does: most calls re-record a
+	// pair already stored, and only an insert needs the key as a string.
+	var buf [64]byte
+	k := appendArgsKey(buf[:0], args)
+	if i, ok := fs.index[string(k)]; ok {
 		if prev := fs.order[i].Out; prev != out {
 			panic(fmt.Sprintf("sym: nondeterministic unknown function %s: %s gave both %d and %d",
-				f.Name, k, prev, out))
+				f.Name, argsKey(args), prev, out))
 		}
 		return false
 	}
 	cp := make([]int64, len(args))
 	copy(cp, args)
 	smp := Sample{Fn: f, Args: cp, Out: out}
-	fs.index[k] = len(fs.order)
+	fs.index[string(k)] = len(fs.order)
 	fs.order = append(fs.order, smp)
 	s.order = append(s.order, smp)
 	return true

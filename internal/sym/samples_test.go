@@ -41,6 +41,27 @@ func TestSampleStoreBasics(t *testing.T) {
 	}
 }
 
+// TestSampleStoreRepeatAddAllocs: re-recording a stored pair, in a root store
+// or locally in an overlay, probes the index without allocating.
+func TestSampleStoreRepeatAddAllocs(t *testing.T) {
+	var p Pool
+	h := p.FuncSym("h", 3)
+	args := []int64{-123456789, 0, 42}
+	root := NewSampleStore()
+	root.Add(h, args, 7)
+	over := NewOverlay(NewSampleStore())
+	over.Add(h, args, 7)
+	for name, s := range map[string]*SampleStore{"root": root, "overlay": over} {
+		if n := testing.AllocsPerRun(100, func() {
+			if s.Add(h, args, 7) {
+				t.Fatal("repeated pair reported as new")
+			}
+		}); n != 0 {
+			t.Errorf("%s store: repeated Add allocates %.1f times, want 0", name, n)
+		}
+	}
+}
+
 func TestSampleStoreDeterminismPanic(t *testing.T) {
 	var p Pool
 	h := p.FuncSym("h", 1)
