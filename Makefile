@@ -7,12 +7,17 @@ all: build lint vet test
 build:
 	$(GO) build ./...
 
-# lint fails if any file is not gofmt-clean (printing the offenders), or if
-# any package lacks a package comment, or if any exported symbol in the public
-# facade (the root package, api.go) lacks godoc. See cmd/doclint.
+# lint fails if any file is not gofmt-clean (printing the offenders), if any
+# test sleeps (a test that waits for a concurrent event waits on a channel, a
+# hook or an event, never on the wall clock), or if any package lacks a
+# package comment, or if any exported symbol in the public facade (the root
+# package, api.go) lacks godoc. See cmd/doclint.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+	@out="$$(grep -rn 'time.Sleep' --include='*_test.go' .)"; if [ -n "$$out" ]; then \
+		echo "tests must not sleep:"; echo "$$out"; exit 1; \
 	fi
 	$(GO) run ./cmd/doclint .
 

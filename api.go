@@ -100,11 +100,11 @@ type SearchOptions = search.Options
 // Stats aggregates a search or fuzzing campaign.
 type Stats = search.Stats
 
-// SearchBudget sets wall-clock ceilings for proofs, targets, and the whole
-// search, and enables graceful degradation down the precision ladder when a
-// higher-order proof exceeds its budget. Attach one via SearchOptions.Budget;
-// the zero value is unlimited. See DESIGN.md §8 and the README's operator
-// handbook.
+// SearchBudget sets the wall-clock ceiling of each proof and enables graceful
+// degradation down the precision ladder when a higher-order proof exceeds it.
+// Attach one via SearchOptions.Budget; the zero value is unlimited. The whole
+// search is bounded by the deadline of SearchOptions.Ctx. See DESIGN.md §8 and
+// the README's operator handbook.
 type SearchBudget = search.Budget
 
 // BudgetStats is the resource-budget and degradation section of Stats:

@@ -17,6 +17,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -177,11 +178,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts := hotg.SearchOptions{
 			MaxRuns: *runs, Seeds: w.Seeds, Bounds: w.Bounds, Refute: *refute,
 			Workers: *workers, Obs: o,
-			Budget: hotg.SearchBudget{
-				ProofTimeout:  *proofTmo,
-				SearchTimeout: *budgetD,
-				Degrade:       *degrade,
-			},
+			Budget: hotg.SearchBudget{ProofTimeout: *proofTmo, Degrade: *degrade},
 		}
 		if *corpusDir != "" {
 			// Resume an interrupted search, or else warm-start from the
@@ -202,6 +199,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			case camp.Seeded:
 				fmt.Fprintf(stdout, "seeding from corpus: %d ranked inputs (session %d)\n", len(opts.Seeds), camp.Session)
 			}
+		}
+		if *budgetD > 0 {
+			ctx, cancel := context.WithTimeout(context.Background(), *budgetD)
+			defer cancel()
+			opts.Ctx = ctx
 		}
 		stats = hotg.Explore(eng, opts)
 		if camp != nil {

@@ -67,6 +67,20 @@ func TestCampaignFlagValidation(t *testing.T) {
 	}
 }
 
+// TestBudgetFlagTimesOut checks -budget, the whole search's wall-clock
+// ceiling: a run budget far beyond what 50ms allows ends on the deadline, and
+// the partial result is a normal exit whose summary says it timed out.
+func TestBudgetFlagTimesOut(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-workload", "lexer", "-runs", "100000", "-budget", "50ms")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+	summary, _, _ := strings.Cut(stdout, "\n")
+	if !strings.Contains(summary, "(timed out)") {
+		t.Errorf("summary line does not say the search timed out: %q", summary)
+	}
+}
+
 // TestCampaignCLIRoundTrip drives a campaign directory through its
 // lifecycle: a session interrupted after its first checkpoint (built through
 // StartCampaign and a cancelled context), a plain -corpus session that

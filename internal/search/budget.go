@@ -8,26 +8,19 @@ import (
 	"hotg/internal/sym"
 )
 
-// Budget sets the search's resource ceilings and enables graceful
+// Budget sets the per-proof wall-clock ceiling and enables graceful
 // degradation. The zero value reproduces the unbudgeted behavior exactly:
 // unlimited wall clock, every target discharged at the engine's top rung.
 //
-// Budgets compose: a proof call runs until the earliest of its own
-// ProofTimeout, its target's TargetTimeout, and the search's SearchTimeout
-// (or external context) fires. See DESIGN.md §8 for the full semantics and
-// the determinism caveats that come with wall-clock limits.
+// A proof or satisfiability check runs until the earlier of its own
+// ProofTimeout and the deadline of Options.Ctx, the one way to bound the
+// whole search. See DESIGN.md §8 for the full semantics and the determinism
+// caveats that come with wall-clock limits.
 type Budget struct {
 	// ProofTimeout is the wall-clock deadline applied to each individual
 	// validity proof or satisfiability check (0 = none). A proof cut off by
 	// it reports a timeout, which Degrade can turn into a lower-rung retry.
 	ProofTimeout time.Duration
-	// TargetTimeout caps the combined wall-clock time spent on all rungs of
-	// one target — the initial proof plus every degradation retry (0 = none).
-	TargetTimeout time.Duration
-	// SearchTimeout is the wall-clock ceiling for the entire search
-	// (0 = none). When it fires, all workers stop cooperatively and Run
-	// returns partial Stats with Budget.TimedOut set.
-	SearchTimeout time.Duration
 	// Degrade retries targets whose higher-order validity proof timed out
 	// (or was otherwise cut short) down the paper's precision ladder:
 	// quantifier-free solving first, plain concretization last. Each
@@ -37,10 +30,11 @@ type Budget struct {
 	Degrade bool
 }
 
-// Active reports whether any ceiling or the degradation ladder is configured;
-// an inactive Budget leaves the search bit-identical to an unbudgeted one.
+// Active reports whether a proof ceiling or the degradation ladder is
+// configured; an inactive Budget leaves the search bit-identical to an
+// unbudgeted one.
 func (b Budget) Active() bool {
-	return b.ProofTimeout > 0 || b.TargetTimeout > 0 || b.SearchTimeout > 0 || b.Degrade
+	return b.ProofTimeout > 0 || b.Degrade
 }
 
 // Rung identifies the precision ladder rung that produced a test, mirroring
@@ -78,34 +72,18 @@ func (r Rung) String() string {
 	}
 }
 
-// minDeadline returns the earliest non-zero time, or zero when all are zero.
-func minDeadline(ts ...time.Time) time.Time {
-	var out time.Time
-	for _, t := range ts {
-		if t.IsZero() {
-			continue
-		}
-		if out.IsZero() || t.Before(out) {
-			out = t
-		}
+// proofDeadline returns the absolute cutoff for one proof or satisfiability
+// check started now: the earlier of now+ProofTimeout and the search
+// context's deadline. Zero means unlimited.
+func (s *searcher) proofDeadline() time.Time {
+	if s.opts.Budget.ProofTimeout <= 0 {
+		return s.deadline
 	}
-	return out
-}
-
-// proofDeadline computes the absolute cutoff for one proof/solve attempt of a
-// target whose processing began at targetStart: the earliest of the per-proof
-// timeout (from now), the per-target timeout (from targetStart), and the
-// search-wide deadline. Zero means unlimited.
-func (s *searcher) proofDeadline(targetStart time.Time) time.Time {
-	b := s.opts.Budget
-	var perProof, perTarget time.Time
-	if b.ProofTimeout > 0 {
-		perProof = time.Now().Add(b.ProofTimeout)
+	d := time.Now().Add(s.opts.Budget.ProofTimeout)
+	if !s.deadline.IsZero() && s.deadline.Before(d) {
+		return s.deadline
 	}
-	if b.TargetTimeout > 0 && !targetStart.IsZero() {
-		perTarget = targetStart.Add(b.TargetTimeout)
-	}
-	return minDeadline(perProof, perTarget, s.deadline)
+	return d
 }
 
 // shouldDegrade reports whether a target with this proof outcome should be
@@ -134,12 +112,9 @@ func (s *searcher) shouldDegrade(outcome fol.Outcome, panicked bool) bool {
 // Rung 1 (concretization): substitute every uninterpreted application by its
 // concrete value under the parent input and solve the residual arithmetic.
 // This mirrors DART's unsound concretization; a resulting test may diverge.
-func (s *searcher) degradeTarget(t *target, fb map[int]int64, targetStart time.Time) {
+func (s *searcher) degradeTarget(t *target, fb map[int]int64) {
 	t.rung = RungQF
-	t.status, t.model = smt.Solve(t.alt, smt.Options{
-		Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
-		Ctx: s.ctx, Deadline: s.proofDeadline(targetStart),
-	})
+	t.status, t.model = s.solve(t.alt)
 	if t.status == smt.StatusUnsat {
 		return
 	}
@@ -147,10 +122,7 @@ func (s *searcher) degradeTarget(t *target, fb map[int]int64, targetStart time.T
 		return
 	}
 	t.rung = RungConcretize
-	t.status, t.model = smt.Solve(s.concretizeAlt(t.alt, fb), smt.Options{
-		Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
-		Ctx: s.ctx, Deadline: s.proofDeadline(targetStart),
-	})
+	t.status, t.model = s.solve(s.concretizeAlt(t.alt, fb))
 }
 
 // qfModelSound checks a rung-2 model against the ground truth: the formula

@@ -24,17 +24,19 @@ func budgetLine(st *search.Stats) string {
 		bs.TestsByRung, bs.TimedOut, bs.Cancelled)
 }
 
-// TestGenerousBudgetBitIdentical checks the pay-when-fired contract: a budget
-// whose ceilings never fire must leave the whole search trajectory — runs,
-// tests, coverage, bugs, prover verdicts, cache traffic — bit-identical to an
-// unbudgeted search, at one worker and at many.
+// TestGenerousBudgetBitIdentical checks the pay-when-fired contract: a
+// per-proof ceiling and a search deadline that never fire must leave the whole
+// search trajectory — runs, tests, coverage, bugs, prover verdicts, cache
+// traffic — bit-identical to an unbudgeted search, at one worker and at many.
 func TestGenerousBudgetBitIdentical(t *testing.T) {
 	w := lexapp.Lexer()
 	base := fingerprint(runWorkers(w, concolic.ModeHigherOrder, search.Options{MaxRuns: 80}, 1, false))
-	generous := search.Budget{ProofTimeout: time.Hour, TargetTimeout: time.Hour, SearchTimeout: time.Hour}
+	generous := search.Budget{ProofTimeout: time.Hour}
 	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+		defer cancel()
 		st := runWorkers(lexapp.Lexer(), concolic.ModeHigherOrder,
-			search.Options{MaxRuns: 80, Budget: generous}, workers, false)
+			search.Options{MaxRuns: 80, Budget: generous, Ctx: ctx}, workers, false)
 		if got := fingerprint(st); got != base {
 			t.Errorf("workers=%d: generous budget changed the trajectory\n--- unbudgeted:\n%s--- budgeted:\n%s",
 				workers, base, got)
@@ -122,13 +124,14 @@ func TestTightWallClockBudgetCompletes(t *testing.T) {
 }
 
 // TestSearchTimeoutReturnsPartialResults checks the search-wide ceiling: a
-// deadline far below the workload's natural runtime stops all workers
+// context deadline far below the workload's natural runtime stops all workers
 // promptly and returns well-formed partial statistics flagged TimedOut.
 func TestSearchTimeoutReturnsPartialResults(t *testing.T) {
 	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	st := runWorkers(lexapp.Lexer(), concolic.ModeHigherOrder,
-		search.Options{MaxRuns: 100000, Budget: search.Budget{SearchTimeout: 50 * time.Millisecond}},
-		4, false)
+		search.Options{MaxRuns: 100000, Ctx: ctx}, 4, false)
 	elapsed := time.Since(start)
 	if !st.Budget.TimedOut {
 		t.Fatalf("expected TimedOut, got %s", budgetLine(st))

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
 
 	"hotg/internal/concolic"
 	"hotg/internal/fol"
@@ -382,8 +381,8 @@ func (s *Stats) encodeRec() statsRec {
 		Bugs:              s.Bugs,
 		CovTrace:          s.CovTrace,
 		BranchCov:         make(map[int][2]bool, len(s.branchCov)),
-		BugSeen:           sortedKeys(s.bugSeen),
-		Paths:             sortedKeys(s.paths),
+		BugSeen:           s.bugSeen.keys(),
+		Paths:             s.paths.keys(),
 	}
 	for id, c := range s.branchCov {
 		rec.BranchCov[id] = *c
@@ -425,14 +424,8 @@ func (s *Stats) applyRec(rec statsRec) {
 		cc := c
 		s.branchCov[id] = &cc
 	}
-	s.bugSeen = make(map[string]bool, len(rec.BugSeen))
-	for _, k := range rec.BugSeen {
-		s.bugSeen[k] = true
-	}
-	s.paths = make(map[string]bool, len(rec.Paths))
-	for _, k := range rec.Paths {
-		s.paths[k] = true
-	}
+	s.bugSeen.reset(rec.BugSeen)
+	s.paths.reset(rec.Paths)
 }
 
 // Canonical returns a deterministic JSON rendering of the
@@ -455,15 +448,6 @@ func (s *Stats) Canonical() ([]byte, error) {
 	rec.Checkpoints = 0
 	rec.ProofCacheHits, rec.ProofCacheMisses = 0, 0
 	return json.Marshal(rec)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // encodeFuncVals renders function inputs for a snapshot: one canonical string

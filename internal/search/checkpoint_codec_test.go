@@ -121,15 +121,16 @@ func TestTraceDecodeStrict(t *testing.T) {
 // re-encode byte-identically; malformed ones are errors.
 func TestKeySetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	set := map[string]bool{"": true}
-	for len(set) < 2000 {
+	var set dedupSet
+	set.add("")
+	for len(set.m) < 2000 {
 		b := make([]byte, rng.Intn(200))
 		for i := range b {
 			b[i] = byte(rng.Intn(3)) // small alphabet: many shared prefixes
 		}
-		set[string(b)] = true
+		set.add(string(b))
 	}
-	ks := keySet(sortedKeys(set))
+	ks := set.keys()
 	text, err := ks.MarshalText()
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hotg/internal/concolic"
+	"hotg/internal/faults"
 	"hotg/internal/lexapp"
 	"hotg/internal/search"
 )
@@ -57,6 +58,46 @@ func TestCanonicalDigestsPinned(t *testing.T) {
 			_, st := resumeRun(t, tc.w, tc.mode, tc.opts, 2, snaps[len(snaps)/2])
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(mustCanonical(t, st)))); got != tc.want {
 				t.Errorf("resumed at workers=2: canonical digest %s, want %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCanonicalStreamsPinned pins the SHA-256 of the canonical trace event
+// stream, at one worker and at four, for searches that between them reach
+// every discharge path: validity proofs with the proof cache (lexer-ho),
+// satisfiability checks (lexer under sound concretization), callback
+// synthesis (cb-fold), a callback proof with parent-answered probes
+// (cb-sortguard), and the degradation ladder under injected proof timeouts.
+// TestCanonicalDigestsPinned pins the trajectory's Stats; this pins the order
+// and the attributes of the cache, prove, solve, degrade and callback events
+// on top of it. A change that moves one on purpose re-pins it and says why.
+func TestCanonicalStreamsPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		w      *lexapp.Workload
+		mode   concolic.Mode
+		opts   search.Options
+		faults *faults.Plan
+		want   string
+	}{
+		{"lexer-ho", lexapp.Lexer(), concolic.ModeHigherOrder, search.Options{MaxRuns: 120}, nil, "35ef40215befb2282a2f4c621e2e0ebd44456e0e7d018b68b57688b5ee4edd65"},
+		{"lexer-sound", lexapp.Lexer(), concolic.ModeSound, search.Options{MaxRuns: 60}, nil, "ae45f93b4df5ee22df7e88462bf1ad0db87be74f0c294a12ad2304674fc2dcf2"},
+		{"cb-fold", lexapp.CallbackFold(), concolic.ModeHigherOrder, search.Options{MaxRuns: 60}, nil, "5063689661480b7d58eb19e4ef7f04175f90b2af61ee321bc8eccd919165940c"},
+		{"cb-sortguard", lexapp.CallbackSortGuard(), concolic.ModeHigherOrder, search.Options{MaxRuns: 60}, nil, "468a94991a83377c0669f2f557f772c1e5f3604ff13e3cb27764f7061cb0fde7"},
+		{"lexer-degrade", lexapp.Lexer(), concolic.ModeHigherOrder,
+			search.Options{MaxRuns: 80, Budget: search.Budget{Degrade: true}}, &faults.Plan{ProveTimeout: true}, "19bd20c2eda6b9b59d5c1619639d389f2bf5ed26281fffe9a35a1e4fb29df686"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.faults != nil {
+				defer faults.Set(tc.faults)()
+			}
+			for _, workers := range []int{1, 4} {
+				o, _ := tracedRun(tc.w, tc.mode, tc.opts, workers)
+				if got := fmt.Sprintf("%x", sha256.Sum256([]byte(o.Trace.CanonicalStream()))); got != tc.want {
+					t.Errorf("workers=%d: canonical stream digest %s, want %s", workers, got, tc.want)
+				}
 			}
 		})
 	}

@@ -26,10 +26,11 @@ package search
 // Callback targets never touch the proof cache: their verdicts depend on the
 // parent execution's private callback samples, which are not part of the
 // versioned shared store, so a cache entry would leak one test's function
-// into another's proof. They are discharged synchronously on the coordinator
-// in constraint order (the two tiers are pure given the frozen stores, and
-// the per-target work is small), so the canonical trajectory is identical at
-// every worker count.
+// into another's proof. They come last in the expansion's discharge sequence
+// and run one at a time on the coordinator, in constraint order: tier 1
+// writes its probe answers into one overlay per expansion that later targets
+// read, and the per-target work is small. The canonical trajectory is
+// therefore identical at every worker count.
 
 import (
 	"strconv"
@@ -40,7 +41,6 @@ import (
 	"hotg/internal/concolic"
 	"hotg/internal/fol"
 	"hotg/internal/mini"
-	"hotg/internal/smt"
 	"hotg/internal/sym"
 )
 
@@ -50,14 +50,10 @@ import (
 // reached in practice; it guards against a resolution cycle.
 const probeRounds = 64
 
-// solveTargetsCallback discharges the expansion's callback targets: for each,
-// try the validity-proof tier, then fall back to function synthesis.
-func (s *searcher) solveTargetsCallback(targets []*target, ex *concolic.Execution, hot bool) {
-	fallback := ex.Input
-	fb := make(map[int]int64, len(fallback))
-	for i, v := range s.eng.InputVars {
-		fb[v.ID] = fallback[i]
-	}
+// dischargeCallbacks discharges an expansion's callback targets: for each,
+// try the validity-proof tier, then fall back to function synthesis. fb is
+// the parent input by variable ID.
+func (s *searcher) dischargeCallbacks(targets []*target, ex *concolic.Execution, fb map[int]int64, hot bool) {
 	// The proof store: shared cross-run samples plus this run's callback
 	// observations. Callback symbols never enter the shared store (their
 	// ground truth changes per test), so the overlay cannot conflict.
@@ -72,9 +68,9 @@ func (s *searcher) solveTargetsCallback(targets []*target, ex *concolic.Executio
 		t.worker, t.start = 0, t0
 		s.stats.CallbackTargets++
 		tier := "proof"
-		if !s.callbackProve(t, ex, store, fb, hot, t0) {
+		if !s.callbackProve(t, ex, store, fb, hot) {
 			tier = "synth"
-			s.callbackSynthesize(t, ex, hot, t0)
+			s.callbackSynthesize(t, ex, hot)
 		}
 		t.dur = time.Since(t0)
 		t.done = true
@@ -91,41 +87,11 @@ func (s *searcher) solveTargetsCallback(targets []*target, ex *concolic.Executio
 // callbackProve is tier 1: a validity proof whose missing callback samples
 // are answered from the parent's own function inputs. It reports whether a
 // test was enqueued; false routes the target to tier 2.
-func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.SampleStore, fb map[int]int64, hot bool, t0 time.Time) bool {
-	prove := func() (st *fol.Strategy, out fol.Outcome) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				st, out, t.panicked = nil, fol.OutcomeUnknown, true
-			}
-		}()
-		return fol.ProveCore(t.alt, store, fol.Options{
-			Pool:      s.eng.Pool,
-			VarBounds: s.varBounds,
-			NoRefute:  !s.opts.Refute,
-			MaxNodes:  s.opts.ProverNodes,
-			Obs:       s.obs,
-			Ctx:       s.ctx,
-			Deadline:  s.proofDeadline(t0),
-		})
-	}
-	s.stats.ProverCalls++
-	t.strategy, t.outcome = prove()
-	if t.panicked {
-		s.stats.Budget.ProverPanics++
-	}
-	switch t.outcome {
-	case fol.OutcomeInvalid:
-		s.stats.ProverInvalid++
-		return false
-	case fol.OutcomeTimeout:
-		s.stats.Budget.ProofTimeouts++
-		s.stats.ProverUnknown++
-		return false
-	case fol.OutcomeUnknown:
-		s.stats.ProverUnknown++
+func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.SampleStore, fb map[int]int64, hot bool) bool {
+	s.prove(t, store)
+	if !s.countVerdict(t) {
 		return false
 	}
-	s.stats.ProverProved++
 	st := fol.FillFallback(t.strategy, t.alt, fb)
 	var res *fol.Resolution
 	for round := 0; round < probeRounds; round++ {
@@ -159,15 +125,8 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 	if !res.Complete {
 		return false
 	}
-	input := s.inputFrom(res.Values, ex.Input)
-	if !s.inBounds(input) {
-		return false
-	}
-	values := map[int]int64{}
-	for i, v := range s.eng.InputVars {
-		values[v.ID] = input[i]
-	}
-	if ok, probes := fol.Holds(t.alt, values, store); len(probes) == 0 && !ok {
+	input, ok := s.testFrom(res.Values, ex.Input, t.alt, store)
+	if !ok {
 		return false
 	}
 	s.enqueueTest(input, ex.Funcs, ex.Prediction(t.k), t.k+1, hot, RungProof)
@@ -180,19 +139,11 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 // whose rows are the model's Ackermann assignments (default 0); unmentioned
 // parameters inherit the parent's function unchanged, keeping the rest of the
 // replayed path stable.
-func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot bool, t0 time.Time) {
-	s.stats.SolverCalls++
-	t.status, t.model = smt.Solve(t.alt, smt.Options{
-		Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
-		Ctx: s.ctx, Deadline: s.proofDeadline(t0),
-	})
-	if t.status == smt.StatusTimeout {
-		s.stats.Budget.ProofTimeouts++
-	}
-	if t.status != smt.StatusSat {
+func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot bool) {
+	t.status, t.model = s.solve(t.alt)
+	if !s.countSolve(t) {
 		return
 	}
-	s.stats.SolverSat++
 	input := s.inputFrom(t.model.Vars, ex.Input)
 	if !s.inBounds(input) {
 		return

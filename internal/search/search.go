@@ -56,17 +56,17 @@ type Options struct {
 	// IDs — is identical at every worker count. A nil Obs costs one pointer
 	// check per instrumentation site.
 	Obs *obs.Obs
-	// Budget sets wall-clock ceilings for proofs, targets, and the whole
-	// search, and enables graceful degradation down the precision ladder. The
-	// zero value means unlimited with no degradation — bit-identical to an
-	// unbudgeted search at any worker count. See the Budget type and
-	// DESIGN.md §8.
+	// Budget sets the wall-clock ceiling of each proof and enables graceful
+	// degradation down the precision ladder. The zero value means unlimited
+	// with no degradation — bit-identical to an unbudgeted search at any
+	// worker count. See the Budget type and DESIGN.md §8.
 	Budget Budget
-	// Ctx, when non-nil, cancels the search cooperatively: the coordinator
-	// stops between work units, workers stop picking up tasks, in-flight
-	// executions and proofs return early at their next poll point, and Run
-	// returns partial (well-formed) Stats with Budget.Cancelled or
-	// Budget.TimedOut set.
+	// Ctx, when non-nil, cancels the search cooperatively, and its deadline,
+	// if any, is the search's wall-clock ceiling (context.WithTimeout bounds
+	// a search): the coordinator stops between work units, workers stop
+	// picking up tasks, in-flight executions and proofs return early at their
+	// next poll point, and Run returns partial (well-formed) Stats with
+	// Budget.Cancelled or Budget.TimedOut set.
 	Ctx context.Context
 	// Checkpoint, when configured (Every > 0 and Sink non-nil), periodically
 	// snapshots the full coordinator state — sample store, proof cache, work
@@ -153,15 +153,6 @@ func Run(eng *concolic.Engine, opts Options) *Stats {
 		eng.Obs = s.obs
 	}
 	s.ctx = opts.Ctx
-	if b := opts.Budget; b.SearchTimeout > 0 {
-		base := s.ctx
-		if base == nil {
-			base = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(base, b.SearchTimeout)
-		defer cancel()
-		s.ctx = ctx
-	}
 	if s.ctx != nil {
 		if dl, ok := s.ctx.Deadline(); ok {
 			s.deadline = dl
@@ -324,9 +315,9 @@ func (s *searcher) flushObs() {
 // searcher is the search coordinator. All queue, dedup-map, statistics, and
 // shared-sample-store mutation happens on the coordinating goroutine; workers
 // only execute tests against sample-store overlays and discharge proof
-// obligations against the frozen shared store (see processBatch and the
-// solveTargets functions for why the merge order makes every worker count
-// produce identical results).
+// obligations against the frozen shared store (see processBatch and
+// discharge for why the merge order makes every worker count produce
+// identical results).
 type searcher struct {
 	eng   *concolic.Engine
 	opts  Options
@@ -490,7 +481,8 @@ func (s *searcher) run() {
 			s.stats.Exhausted = true
 			return
 		case srcPending:
-			s.resumePending(batch[0].pending)
+			// Re-resolve a blocked strategy after its intermediate tests.
+			s.resolveAndEnqueue(batch[0].pending, false)
 			continue
 		}
 		if len(batch) == 0 {
@@ -800,24 +792,26 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 		}
 		prefix.add(c.Expr, depIDs(c.Expr, fnInputs))
 	}
-	if len(targets) > 0 {
-		if s.eng.Mode == concolic.ModeHigherOrder {
-			s.solveTargetsHigherOrder(targets, ex, hot)
-		} else {
-			s.solveTargetsSat(targets, ex, hot)
-		}
-	}
-	if len(callback) > 0 {
-		s.solveTargetsCallback(callback, ex, hot)
+	if len(targets) > 0 || len(callback) > 0 {
+		s.discharge(targets, callback, ex, hot)
 	}
 }
 
-// solveTargetsHigherOrder discharges the expansion's validity proofs:
-// cache-missing targets fan out over the workers (ProveCore only reads the
-// sample store and allocates from the synchronized pool), then results are
-// applied — and the cache is filled — in constraint order on the coordinator.
-// Computing the cache key also memoizes the formula's canonical string, so
-// workers never write the lazy key fields of shared subterms.
+// discharge turns an expansion's targets into tests, climbing the paper's
+// §5 ladder in one sequence. Higher-order targets are validity proofs of
+// POST(pc), the lower modes' are satisfiability checks of ALT(pc).
+//
+//   - Select: each target is looked up in the proof cache. Computing its key
+//     also memoizes the formula's canonical string, so workers never write
+//     the lazy key fields of shared subterms.
+//   - Fan out: cache misses go to the workers, which only read the frozen
+//     sample store and allocate from the synchronized pool.
+//   - Apply: results are accounted, cached and turned into tests in
+//     constraint order on the coordinator.
+//
+// Callback targets come last, one at a time on the coordinator
+// (funcsynth.go): their first tier answers probes into one overlay that
+// later targets of the expansion read.
 //
 // Under Budget.Degrade, a target whose proof was cut short (timeout, node
 // budget, recovered panic) is walked down the precision ladder on the same
@@ -826,244 +820,255 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 // fan out, just skipping the proof. Timed-out and panicked proofs are not
 // cached either — an entry recording "ran out of wall clock" would poison
 // every later occurrence of the formula.
-func (s *searcher) solveTargetsHigherOrder(targets []*target, ex *concolic.Execution, hot bool) {
-	fallback := ex.Input
-	version := s.eng.Samples.Len()
-	fb := make(map[int]int64, len(fallback))
-	for i, v := range s.eng.InputVars {
-		fb[v.ID] = fallback[i]
+func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution, hot bool) {
+	ho := s.eng.Mode == concolic.ModeHigherOrder
+	// fb is the parent input by variable ID: the fallback a proved strategy
+	// fills its unconstrained variables from, and the concrete values the
+	// lower rungs evaluate under. The lower modes need neither.
+	var fb map[int]int64
+	if ho || len(callback) > 0 {
+		fb = make(map[int]int64, len(ex.Input))
+		for i, v := range s.eng.InputVars {
+			fb[v.ID] = ex.Input[i]
+		}
 	}
+	version := s.eng.Samples.Len()
 	var todo []*target
 	for _, t := range targets {
-		t.key = proveKeyOf(t.alt, version)
-		if e, ok := s.cache.lookupProve(t.key); ok {
-			t.strategy, t.outcome, t.fromCache = e.strategy, e.outcome, true
-			if s.shouldDegrade(t.outcome, false) {
-				todo = append(todo, t)
-			} else {
-				t.done = true
-			}
+		if ho {
+			t.key = proveKeyOf(t.alt, version)
+		} else {
+			t.key = proveKey{formula: t.alt.Key()}
+		}
+		t.fromCache = s.cached(t, ho)
+		if t.fromCache && !(ho && s.shouldDegrade(t.outcome, false)) {
+			t.done = true // a selection-time hit, read back when applied
 		} else {
 			todo = append(todo, t)
 		}
 	}
-	// prove shields the coordinator from prover panics (injected faults or
-	// defects): a panicking proof becomes an unknown, degradable outcome.
-	prove := func(t *target, t0 time.Time) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				t.strategy, t.outcome, t.panicked = nil, fol.OutcomeUnknown, true
-			}
-		}()
-		t.strategy, t.outcome = fol.ProveCore(t.alt, s.eng.Samples, fol.Options{
-			Pool:      s.eng.Pool,
-			VarBounds: s.varBounds,
-			NoRefute:  !s.opts.Refute,
-			MaxNodes:  s.opts.ProverNodes,
-			Obs:       s.obs,
-			Ctx:       s.ctx,
-			Deadline:  s.proofDeadline(t0),
-		})
-	}
 	s.parallelDo(len(todo), func(i, worker int) {
 		t := todo[i]
 		t0 := time.Now()
-		if !t.fromCache {
-			prove(t, t0)
-		}
-		if s.shouldDegrade(t.outcome, t.panicked) {
-			s.degradeTarget(t, fb, t0)
+		if !ho {
+			t.status, t.model = s.solve(t.alt)
+		} else {
+			if !t.fromCache {
+				s.prove(t, s.eng.Samples)
+			}
+			if s.shouldDegrade(t.outcome, t.panicked) {
+				s.degradeTarget(t, fb)
+			}
 		}
 		t.worker, t.start, t.dur = worker, t0, time.Since(t0)
 		atomic.AddInt64(&s.solveNanos, int64(t.dur))
 		s.stats.ProofsPerWorker[worker]++
 		t.done = true
 	})
+	op := "solve"
+	if ho {
+		op = "prove"
+	}
 	for _, t := range targets {
 		if !t.done {
 			continue // cancelled before this target's turn; nothing to account
 		}
 		// Cache accounting happens here, in constraint order, so the hit and
 		// miss counts are identical at every worker count. (Two targets of
-		// one fan-out sharing a formula are proved twice concurrently; the
-		// second is still accounted as a hit, its duplicate result dropped.)
-		cached := "miss"
-		if e, ok := s.cache.lookupProve(t.key); ok {
-			cached = "hit"
+		// one fan-out sharing a formula are discharged twice concurrently;
+		// the second is still accounted as a hit, its duplicate result
+		// dropped.)
+		cache := "hit"
+		if s.cached(t, ho) {
 			s.stats.ProofCacheHits++
-			t.strategy, t.outcome = e.strategy, e.outcome
 		} else {
+			cache = "miss"
 			s.stats.ProofCacheMisses++
-			if t.outcome != fol.OutcomeTimeout && !t.panicked {
-				s.cache.storeProve(t.key, proveEntry{strategy: t.strategy, outcome: t.outcome})
-			}
+			s.remember(t, ho)
 		}
-		s.stats.ProverCalls++
 		if s.tracing() {
 			s.emit(obs.Event{Kind: "cache", Worker: -1,
-				Str: map[string]string{"op": "prove", "result": cached}})
+				Str: map[string]string{"op": op, "result": cache}})
 			num := map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.Key()))}
-			if t.strategy != nil {
-				num["defs"] = int64(len(t.strategy.Defs))
-				num["steps"] = int64(len(t.strategy.Proof))
+			str := map[string]string{"cache": cache}
+			if ho {
+				if t.strategy != nil {
+					num["defs"] = int64(len(t.strategy.Defs))
+					num["steps"] = int64(len(t.strategy.Proof))
+				}
+				str["verdict"] = t.outcome.String()
+			} else {
+				str["status"] = t.status.String()
 			}
-			s.taskEvent("prove", t.worker, t.start, t.dur, num,
-				map[string]string{"verdict": t.outcome.String(), "cache": cached})
+			s.taskEvent(op, t.worker, t.start, t.dur, num, str)
 		}
-		if t.panicked {
-			s.stats.Budget.ProverPanics++
+		if ho {
+			s.applyProof(t, ex, fb, hot)
+		} else if s.countSolve(t) {
+			// Lower modes already solve at the quantifier-free rung; tag their
+			// tests accordingly so per-rung counts are meaningful across modes.
+			s.enqueueTest(s.inputFrom(t.model.Vars, ex.Input), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, RungQF)
 		}
-		switch t.outcome {
-		case fol.OutcomeInvalid:
-			s.stats.ProverInvalid++
-			continue
-		case fol.OutcomeTimeout:
-			s.stats.Budget.ProofTimeouts++
-			s.stats.ProverUnknown++
-		case fol.OutcomeUnknown:
-			s.stats.ProverUnknown++
-		default:
-			s.stats.ProverProved++
-			pt := &pendingTarget{
-				// The cached strategy is shared; FillFallback copies it while
-				// fixing this target's unconstrained variables at the parent
-				// input's values.
-				strategy: fol.FillFallback(t.strategy, t.alt, fb),
-				alt:      t.alt,
-				expected: ex.Prediction(t.k),
-				fallback: fallback,
-				funcs:    ex.Funcs,
-				bound:    t.k + 1,
-				retries:  s.opts.MaxMultiStep,
-				hot:      hot,
-			}
-			s.resolveAndEnqueue(pt, true)
-			continue
-		}
-		// The proof was cut short. If the degradation ladder ran, the target
-		// carries a lower rung's satisfiability result; account it and turn a
-		// sat model into a test tagged with its rung.
-		if t.rung == RungProof {
-			continue
-		}
-		switch t.rung {
-		case RungQF:
-			s.stats.Budget.DegradedQF++
-		case RungConcretize:
-			s.stats.Budget.DegradedConc++
-		}
-		if t.status == smt.StatusTimeout {
-			s.stats.Budget.ProofTimeouts++
-		}
-		if s.tracing() {
-			s.emit(obs.Event{Kind: "degrade", Worker: -1,
-				Num: map[string]int64{"k": int64(t.k)},
-				Str: map[string]string{"rung": t.rung.String(), "status": t.status.String()}})
-		}
-		if t.status != smt.StatusSat {
-			continue
-		}
-		s.enqueueTest(s.inputFrom(t.model.Vars, fallback), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, t.rung)
+	}
+	if len(callback) > 0 {
+		s.dischargeCallbacks(callback, ex, fb, hot)
 	}
 }
 
-// solveTargetsSat is classic test generation: satisfiability checks of
-// ALT(pc), fanned out and cached like the validity proofs (solver results do
-// not depend on the sample store, so the cache key is the formula alone).
-func (s *searcher) solveTargetsSat(targets []*target, ex *concolic.Execution, hot bool) {
-	fallback := ex.Input
-	var todo []*target
-	for _, t := range targets {
-		t.key = proveKey{formula: t.alt.Key()}
-		if _, ok := s.cache.solve[t.key.formula]; ok {
-			t.done = true // a selection-time hit, read back when accounted
-		} else {
-			todo = append(todo, t)
+// cached reads t's verdict from the proof cache (ho) or the satisfiability
+// cache into t, reporting whether there was one. A proof hit leaves the
+// degraded rungs' result fields alone: they depend on the parent input.
+func (s *searcher) cached(t *target, ho bool) bool {
+	if ho {
+		e, ok := s.cache.lookupProve(t.key)
+		if ok {
+			t.strategy, t.outcome = e.strategy, e.outcome
 		}
+		return ok
 	}
-	s.parallelDo(len(todo), func(i, worker int) {
-		t := todo[i]
-		t0 := time.Now()
-		t.status, t.model = smt.Solve(t.alt, smt.Options{
-			Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
-			Ctx: s.ctx, Deadline: s.proofDeadline(t0),
-		})
-		t.worker, t.start, t.dur = worker, t0, time.Since(t0)
-		atomic.AddInt64(&s.solveNanos, int64(t.dur))
-		s.stats.ProofsPerWorker[worker]++
-		t.done = true
+	e, ok := s.cache.solve[t.key.formula]
+	if ok {
+		t.status, t.model = e.status, e.model
+	}
+	return ok
+}
+
+// remember caches t's verdict unless it records wall-clock exhaustion or a
+// recovered panic rather than a property of the formula.
+func (s *searcher) remember(t *target, ho bool) {
+	switch {
+	case ho:
+		if t.outcome != fol.OutcomeTimeout && !t.panicked {
+			s.cache.storeProve(t.key, proveEntry{strategy: t.strategy, outcome: t.outcome})
+		}
+	case t.status != smt.StatusTimeout:
+		s.cache.storeSolve(t.key.formula, solveEntry{status: t.status, model: t.model})
+	}
+}
+
+// applyProof acts on one higher-order verdict: a proved strategy becomes a
+// test (or a multi-step chain), and a proof cut short yields whatever test
+// the degradation ladder found.
+func (s *searcher) applyProof(t *target, ex *concolic.Execution, fb map[int]int64, hot bool) {
+	if s.countVerdict(t) {
+		s.resolveAndEnqueue(&pendingTarget{
+			// The cached strategy is shared; FillFallback copies it while
+			// fixing this target's unconstrained variables at the parent
+			// input's values.
+			strategy: fol.FillFallback(t.strategy, t.alt, fb),
+			alt:      t.alt,
+			expected: ex.Prediction(t.k),
+			fallback: ex.Input,
+			funcs:    ex.Funcs,
+			bound:    t.k + 1,
+			retries:  s.opts.MaxMultiStep,
+			hot:      hot,
+		}, true)
+		return
+	}
+	if t.outcome == fol.OutcomeInvalid || t.rung == RungProof {
+		return
+	}
+	// The degradation ladder ran: the target carries a lower rung's
+	// satisfiability result. Account it and turn a sat model into a test
+	// tagged with its rung.
+	switch t.rung {
+	case RungQF:
+		s.stats.Budget.DegradedQF++
+	case RungConcretize:
+		s.stats.Budget.DegradedConc++
+	}
+	if t.status == smt.StatusTimeout {
+		s.stats.Budget.ProofTimeouts++
+	}
+	if s.tracing() {
+		s.emit(obs.Event{Kind: "degrade", Worker: -1,
+			Num: map[string]int64{"k": int64(t.k)},
+			Str: map[string]string{"rung": t.rung.String(), "status": t.status.String()}})
+	}
+	if t.status == smt.StatusSat {
+		s.enqueueTest(s.inputFrom(t.model.Vars, ex.Input), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, t.rung)
+	}
+}
+
+// prove is the search's one validity proof: ProveCore of t's formula over
+// store, filling t's strategy and outcome. A panicking proof (an injected
+// fault or a prover defect) becomes an unknown, degradable outcome instead of
+// taking the search down.
+func (s *searcher) prove(t *target, store *sym.SampleStore) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			t.strategy, t.outcome, t.panicked = nil, fol.OutcomeUnknown, true
+		}
+	}()
+	t.strategy, t.outcome = fol.ProveCore(t.alt, store, fol.Options{
+		Pool:      s.eng.Pool,
+		VarBounds: s.varBounds,
+		NoRefute:  !s.opts.Refute,
+		MaxNodes:  s.opts.ProverNodes,
+		Obs:       s.obs,
+		Ctx:       s.ctx,
+		Deadline:  s.proofDeadline(),
 	})
-	for _, t := range targets {
-		if !t.done {
-			if _, ok := s.cache.solve[t.key.formula]; !ok {
-				continue // cancelled before this target's turn
-			}
-		}
-		cached := "miss"
-		if e, ok := s.cache.solve[t.key.formula]; ok {
-			cached = "hit"
-			s.stats.ProofCacheHits++
-			t.status, t.model = e.status, e.model
-		} else {
-			s.stats.ProofCacheMisses++
-			// A timed-out query is not cached: the verdict records wall-clock
-			// exhaustion, not a property of the formula.
-			if t.status != smt.StatusTimeout {
-				s.cache.storeSolve(t.key.formula, solveEntry{status: t.status, model: t.model})
-			}
-		}
-		if t.status == smt.StatusTimeout {
-			s.stats.Budget.ProofTimeouts++
-		}
-		s.stats.SolverCalls++
-		if s.tracing() {
-			s.emit(obs.Event{Kind: "cache", Worker: -1,
-				Str: map[string]string{"op": "solve", "result": cached}})
-			s.taskEvent("solve", t.worker, t.start, t.dur,
-				map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.Key()))},
-				map[string]string{"status": t.status.String(), "cache": cached})
-		}
-		if t.status != smt.StatusSat {
-			continue
-		}
-		s.stats.SolverSat++
-		input := make([]int64, len(fallback))
-		copy(input, fallback)
-		for i, v := range s.eng.InputVars {
-			if val, ok := t.model.Vars[v.ID]; ok {
-				input[i] = val
-			}
-		}
-		// Lower modes already solve at the quantifier-free rung; tag their
-		// tests accordingly so per-rung counts are meaningful across modes.
-		s.enqueueTest(input, ex.Funcs, ex.Prediction(t.k), t.k+1, hot, RungQF)
+}
+
+// solve is the search's one satisfiability check.
+func (s *searcher) solve(alt sym.Expr) (smt.Status, *smt.Model) {
+	return smt.Solve(alt, smt.Options{
+		Pool: s.eng.Pool, VarBounds: s.varBounds, Obs: s.obs,
+		Ctx: s.ctx, Deadline: s.proofDeadline(),
+	})
+}
+
+// countVerdict tallies one validity proof's verdict and reports whether it
+// proved.
+func (s *searcher) countVerdict(t *target) bool {
+	s.stats.ProverCalls++
+	if t.panicked {
+		s.stats.Budget.ProverPanics++
 	}
+	switch t.outcome {
+	case fol.OutcomeProved:
+		s.stats.ProverProved++
+		return true
+	case fol.OutcomeInvalid:
+		s.stats.ProverInvalid++
+	case fol.OutcomeTimeout:
+		s.stats.Budget.ProofTimeouts++
+		s.stats.ProverUnknown++
+	default:
+		s.stats.ProverUnknown++
+	}
+	return false
+}
+
+// countSolve tallies one satisfiability check of a target and reports
+// whether it found a model.
+func (s *searcher) countSolve(t *target) bool {
+	s.stats.SolverCalls++
+	if t.status == smt.StatusTimeout {
+		s.stats.Budget.ProofTimeouts++
+	}
+	if t.status != smt.StatusSat {
+		return false
+	}
+	s.stats.SolverSat++
+	return true
 }
 
 // resolveAndEnqueue tries to turn a proved strategy into a concrete test; on
 // missing samples it schedules an intermediate test plus a continuation.
 // first marks the initial attempt (for multi-step accounting).
-func (s *searcher) resolveAndEnqueue(pt *pendingTarget, first bool) bool {
+func (s *searcher) resolveAndEnqueue(pt *pendingTarget, first bool) {
 	res := pt.strategy.Resolve(s.eng.Samples)
 	if res.Complete {
-		input := s.inputFrom(res.Values, pt.fallback)
-		if !s.inBounds(input) {
-			return false
+		if input, ok := s.testFrom(res.Values, pt.fallback, pt.alt, s.eng.Samples); ok {
+			s.enqueueTest(input, pt.funcs, pt.expected, pt.bound, pt.hot, RungProof)
 		}
-		// Final sanity check against the samples: the strategy is a proof,
-		// so this must hold; it guards the implementation.
-		values := map[int]int64{}
-		for i, v := range s.eng.InputVars {
-			values[v.ID] = input[i]
-		}
-		if ok, probes := fol.Holds(pt.alt, values, s.eng.Samples); len(probes) == 0 && !ok {
-			return false
-		}
-		s.enqueueTest(input, pt.funcs, pt.expected, pt.bound, pt.hot, RungProof)
-		return true
+		return
 	}
 	if pt.retries <= 0 {
-		return false
+		return
 	}
 	// Multi-step test generation (Example 7): run an intermediate test with
 	// the resolved values filled in, hoping the program samples the probes.
@@ -1073,7 +1078,7 @@ func (s *searcher) resolveAndEnqueue(pt *pendingTarget, first bool) bool {
 	pt.retries--
 	intermediate := s.inputFrom(res.Values, pt.fallback)
 	if !s.inBounds(intermediate) {
-		return false
+		return
 	}
 	s.stats.IntermediateTests++
 	if s.tracing() {
@@ -1086,12 +1091,25 @@ func (s *searcher) resolveAndEnqueue(pt *pendingTarget, first bool) bool {
 	// function inputs, so the samples they collect are the parent function's.
 	s.hot = append(s.hot, item{input: intermediate, funcs: pt.funcs, noExpand: true})
 	s.hot = append(s.hot, item{pending: pt})
-	return true
 }
 
-// resumePending re-resolves a blocked strategy after intermediate tests.
-func (s *searcher) resumePending(pt *pendingTarget) bool {
-	return s.resolveAndEnqueue(pt, false)
+// testFrom turns a resolved strategy's values into a test input: fallback
+// with the values filled in, kept only if it lies within the input bounds and
+// alt holds on it under store's samples. The strategy is a proof, so alt must
+// hold; the check guards the implementation.
+func (s *searcher) testFrom(values map[int]int64, fallback []int64, alt sym.Expr, store *sym.SampleStore) ([]int64, bool) {
+	input := s.inputFrom(values, fallback)
+	if !s.inBounds(input) {
+		return nil, false
+	}
+	env := make(map[int]int64, len(input))
+	for i, v := range s.eng.InputVars {
+		env[v.ID] = input[i]
+	}
+	if ok, probes := fol.Holds(alt, env, store); len(probes) == 0 && !ok {
+		return nil, false
+	}
+	return input, true
 }
 
 func (s *searcher) inputFrom(values map[int]int64, fallback []int64) []int64 {

@@ -111,10 +111,10 @@ type Stats struct {
 
 	// Bugs, deduplicated by site/message.
 	Bugs    []Bug
-	bugSeen map[string]bool
+	bugSeen dedupSet
 
 	// Paths explored (distinct branch traces).
-	paths map[string]bool
+	paths dedupSet
 
 	// CovTrace[i] is the cumulative branch-side coverage after run i+1 —
 	// the series behind coverage-vs-runs plots.
@@ -177,8 +177,6 @@ func newStats(mode string, numBranches int) *Stats {
 		Mode:      mode,
 		branchCov: make(map[int]*[2]bool),
 		numBranch: numBranches,
-		bugSeen:   make(map[string]bool),
-		paths:     make(map[string]bool),
 	}
 }
 
@@ -208,7 +206,7 @@ func (s *Stats) recordRunFuncs(res *mini.Result, input []int64, funcs []string) 
 			gained++
 		}
 	}
-	s.paths[res.Path()] = true
+	s.paths.add(res.Path())
 	s.CovTrace = append(s.CovTrace, s.BranchSidesCovered())
 	switch res.Kind {
 	case mini.StopError:
@@ -221,10 +219,10 @@ func (s *Stats) recordRunFuncs(res *mini.Result, input []int64, funcs []string) 
 
 func (s *Stats) addBug(b Bug) {
 	key := fmt.Sprintf("%d/%d/%s", b.Kind, b.Site, b.Msg)
-	if s.bugSeen[key] {
+	if s.bugSeen.has(key) {
 		return
 	}
-	s.bugSeen[key] = true
+	s.bugSeen.add(key)
 	cp := make([]int64, len(b.Input))
 	copy(cp, b.Input)
 	b.Input = cp
@@ -270,7 +268,7 @@ func (s *Stats) Coverage() float64 {
 }
 
 // Paths returns the number of distinct control paths executed.
-func (s *Stats) Paths() int { return len(s.paths) }
+func (s *Stats) Paths() int { return len(s.paths.m) }
 
 // ErrorSitesFound returns the distinct error-site IDs reached.
 func (s *Stats) ErrorSitesFound() []int {
