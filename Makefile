@@ -97,9 +97,10 @@ bench-smoke:
 	$(GO) test . -run '^$$' -bench 'SearchParallel1$$|ConcolicRunLexer$$' -benchtime 1x -benchmem
 
 # bench-json captures the quick experiment suite with per-experiment metric
-# snapshots (workers, proof-cache traffic, wall/solve seconds, full registry).
+# snapshots (workers, proof-cache traffic, wall/solve seconds, full registry),
+# every search at one worker, as the committed baseline was recorded.
 bench-json:
-	$(GO) run ./cmd/benchtab -quick -json > BENCH_search.json
+	$(GO) run ./cmd/benchtab -quick -json -workers 1 > BENCH_search.json
 
 # bench-diff is the perf-regression gate: a fresh quick run compared against
 # the committed baseline, failing on >25% solver-time regression in any
@@ -107,7 +108,7 @@ bench-json:
 # `benchtab -diff -h`). Regenerate the baseline with `make bench-json` when a
 # slowdown is intentional.
 bench-diff:
-	$(GO) run ./cmd/benchtab -quick -json > BENCH_new.json
+	$(GO) run ./cmd/benchtab -quick -json -workers 1 > BENCH_new.json
 	$(GO) run ./cmd/benchtab -diff -threshold 0.25 -min-seconds 0.25 BENCH_search.json BENCH_new.json
 
 tables:

@@ -273,3 +273,32 @@ fn main(x int) int {
 		}
 	}
 }
+
+// TestMixedCompareAllocs pins what a comparison of a symbolic value with a
+// concrete one costs: the difference term and the comparison, two objects.
+// The concrete operand enters as its value; materializing it as a constant
+// term first would cost a third.
+func TestMixedCompareAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop the pooled trace buffers at random")
+	}
+	const src = `
+fn main(x int) int {
+	var i = 1;
+	var b = x == 0;
+	while (i <= %d) {
+		b = x == i;
+		i = i + 1;
+	}
+	return i;
+}`
+	for _, mode := range []Mode{ModeHigherOrder, ModeUnsound} {
+		allocs := func(n int) float64 {
+			e := New(prog(t, fmt.Sprintf(src, n)), mode)
+			return testing.AllocsPerRun(50, func() { e.Run([]int64{3}) })
+		}
+		if perCompare := (allocs(300) - allocs(100)) / 200; perCompare != 2 {
+			t.Errorf("%v: %.2f allocs per mixed comparison, want 2", mode, perCompare)
+		}
+	}
+}

@@ -718,9 +718,21 @@ func (r *runner) evalBinary(x *mini.Binary, fr frame) (int64, sval, error) {
 	}
 	switch x.Op {
 	case mini.TokPlus:
-		return ci, intS(sym.AddSum(ls.term(li), rs.term(ri)), pending), nil
+		switch {
+		case ls.sum == nil:
+			return ci, intS(sym.AddConst(rs.sum, li), pending), nil
+		case rs.sum == nil:
+			return ci, intS(sym.AddConst(ls.sum, ri), pending), nil
+		}
+		return ci, intS(sym.AddSum(ls.sum, rs.sum), pending), nil
 	case mini.TokMinus:
-		return ci, intS(sym.SubSum(ls.term(li), rs.term(ri)), pending), nil
+		switch {
+		case ls.sum == nil:
+			return ci, intS(sym.ConstSub(li, rs.sum), pending), nil
+		case rs.sum == nil:
+			return ci, intS(sym.AddConst(ls.sum, -ri), pending), nil
+		}
+		return ci, intS(sym.SubSum(ls.sum, rs.sum), pending), nil
 	case mini.TokStar:
 		switch {
 		case ls.sum == nil:
@@ -737,24 +749,36 @@ func (r *runner) evalBinary(x *mini.Binary, fr frame) (int64, sval, error) {
 		return ci, r.imprecise("$mod", false, ci, []int64{li, ri}, []sval{ls, rs}, x.P), nil
 	}
 
-	// Comparisons.
-	a, b := ls.term(li), rs.term(ri)
+	// Comparisons. A concrete operand enters as its value, never as a
+	// materialized constant term.
+	rel := relOf(x.Op)
 	var bex sym.Expr
-	switch x.Op {
-	case mini.TokEq:
-		bex = sym.Eq(a, b)
-	case mini.TokNe:
-		bex = sym.Ne(a, b)
-	case mini.TokLt:
-		bex = sym.Lt(a, b)
-	case mini.TokLe:
-		bex = sym.Le(a, b)
-	case mini.TokGt:
-		bex = sym.Gt(a, b)
-	case mini.TokGe:
-		bex = sym.Ge(a, b)
+	switch {
+	case ls.sum == nil:
+		bex = sym.ConstCompare(rel, li, rs.sum)
+	case rs.sum == nil:
+		bex = sym.CompareConst(rel, ls.sum, ri)
+	default:
+		bex = sym.Compare(rel, ls.sum, rs.sum)
 	}
 	return ci, boolS(bex, pending), nil
+}
+
+// relOf returns the relation of a comparison token.
+func relOf(op mini.TokKind) sym.Rel {
+	switch op {
+	case mini.TokEq:
+		return sym.RelEq
+	case mini.TokNe:
+		return sym.RelNe
+	case mini.TokLt:
+		return sym.RelLt
+	case mini.TokLe:
+		return sym.RelLe
+	case mini.TokGt:
+		return sym.RelGt
+	}
+	return sym.RelGe
 }
 
 func (r *runner) evalCall(x *mini.Call, fr frame) (int64, sval, error) {

@@ -64,7 +64,7 @@ type Options struct {
 func Prove(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, Outcome) {
 	st, out := ProveCore(pc, samples, opts)
 	if out == OutcomeProved {
-		st = FillFallback(st, pc, opts.Fallback)
+		st = FillFallback(st, sym.Vars(pc), opts.Fallback)
 	}
 	return st, out
 }
@@ -131,21 +131,22 @@ func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, 
 	return st, out
 }
 
-// FillFallback "fixes" every variable of pc the proof left unconstrained at
+// FillFallback "fixes" every variable of vars the proof left unconstrained at
 // its fallback value (or 0), so the strategy resolves to a full input — the
-// paper's "fix y" step. The input strategy is not modified; the result shares
-// its Proof and core Defs.
-func FillFallback(st *Strategy, pc sym.Expr, fallback map[int]int64) *Strategy {
-	defined := map[int]bool{}
-	for _, d := range st.Defs {
-		defined[d.Var.ID] = true
-	}
-	out := &Strategy{Defs: append([]Def(nil), st.Defs...), Proof: st.Proof}
-	for _, v := range sym.Vars(pc) {
-		if !defined[v.ID] {
-			out.Defs = append(out.Defs, Def{Var: v, Term: sym.Int(fallback[v.ID])})
-			defined[v.ID] = true
+// paper's "fix y" step. vars are the proved formula's variables, distinct
+// and in ID order (sym.Vars). The input strategy is not modified; the result
+// shares its Proof and core Defs.
+func FillFallback(st *Strategy, vars []*sym.Var, fallback map[int]int64) *Strategy {
+	out := &Strategy{Defs: make([]Def, len(st.Defs), len(st.Defs)+len(vars)), Proof: st.Proof}
+	copy(out.Defs, st.Defs)
+vars:
+	for _, v := range vars {
+		for _, d := range st.Defs {
+			if d.Var.ID == v.ID {
+				continue vars
+			}
 		}
+		out.Defs = append(out.Defs, Def{Var: v, Term: sym.Int(fallback[v.ID])})
 	}
 	return out
 }

@@ -39,7 +39,7 @@ func phaseTotal(by map[string]MetricValue, names ...string) time.Duration {
 //
 //	search            search.wall_ns
 //	├─ exec           concolic.exec.ns
-//	└─ fol            fol.prove.ns + fol.refute.ns
+//	└─ fol            fol.prove.ns
 //	   └─ smt         smt.solve.ns
 //	      ├─ sat      smt.sat.ns
 //	      ├─ simplex  smt.lia.ns   (LIA: branch-and-bound over simplex)
@@ -47,6 +47,8 @@ func phaseTotal(by map[string]MetricValue, names ...string) time.Duration {
 //
 // Every solver check, one-shot or on the warm refuter, is recorded once in
 // smt.solve.ns, so the smt row is that histogram's sum and nothing else.
+// Likewise a refutation (fol.refute.ns) runs inside its proof's timed span,
+// so the fol row is fol.prove.ns alone.
 // Returns nil when the registry holds no search time at all (nothing ran, or
 // observability was off).
 func PhaseTree(r *Registry) *PhaseNode {
@@ -63,7 +65,7 @@ func PhaseTree(r *Registry) *PhaseNode {
 			{Name: "simplex", Total: phaseTotal(by, "smt.lia.ns")},
 			{Name: "euf", Total: phaseTotal(by, "smt.euf.ns")},
 		}}
-	folNode := &PhaseNode{Name: "fol", Total: phaseTotal(by, "fol.prove.ns", "fol.refute.ns"),
+	folNode := &PhaseNode{Name: "fol", Total: phaseTotal(by, "fol.prove.ns"),
 		Children: []*PhaseNode{smtNode}}
 	root := &PhaseNode{Name: "search", Total: phaseTotal(by, "search.wall_ns"),
 		Children: []*PhaseNode{

@@ -114,15 +114,15 @@ func (s *searcher) shouldDegrade(outcome fol.Outcome, panicked bool) bool {
 // This mirrors DART's unsound concretization; a resulting test may diverge.
 func (s *searcher) degradeTarget(t *target, fb map[int]int64) {
 	t.rung = RungQF
-	t.status, t.model = s.solve(t.alt)
+	t.status, t.model = s.solve(t.alt.expr)
 	if t.status == smt.StatusUnsat {
 		return
 	}
-	if t.status == smt.StatusSat && s.qfModelSound(t.alt, fb, t.model) {
+	if t.status == smt.StatusSat && s.qfModelSound(t.alt.expr, fb, t.model) {
 		return
 	}
 	t.rung = RungConcretize
-	t.status, t.model = s.solve(s.concretizeAlt(t.alt, fb))
+	t.status, t.model = s.solve(s.concretizeAlt(t.alt.expr, fb))
 }
 
 // qfModelSound checks a rung-2 model against the ground truth: the formula

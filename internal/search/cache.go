@@ -7,7 +7,6 @@ import (
 
 	"hotg/internal/fol"
 	"hotg/internal/smt"
-	"hotg/internal/sym"
 )
 
 // proofCache memoizes the expensive half of test generation. Within one
@@ -88,14 +87,12 @@ func newProofCache() *proofCache {
 func (c *proofCache) size() int { return len(c.prove) + len(c.solve) }
 
 // proveKeyOf returns the key alt's verdict is looked up under at the given
-// store version: anyVersion if alt has no application. Calling Key() here (on
-// the coordinator, before fan-out) also memoizes the key fields of every
-// shared subterm, so workers only ever read them.
-func proveKeyOf(alt sym.Expr, version int) proveKey {
-	if !sym.HasApply(alt) {
+// store version: anyVersion if alt has no application.
+func proveKeyOf(alt *altFormula, version int) proveKey {
+	if !alt.hasApply {
 		version = anyVersion
 	}
-	return proveKey{formula: alt.Key(), version: version}
+	return proveKey{formula: alt.key, version: version}
 }
 
 // lookupProve returns the verdict cached for k's formula at k's version,

@@ -109,6 +109,10 @@ type Snapshot struct {
 	// packed (see keySet).
 	Tried    keySet `json:"tried,omitempty"`
 	Targeted keySet `json:"targeted,omitempty"`
+	// triedShared and targetedShared are the front coding of Tried and
+	// Targeted as the search keeps it (dedupSet.shared); nil in a decoded
+	// snapshot, whose encoder computes it.
+	triedShared, targetedShared []int
 	// Prove and Solve are the proof cache, sorted by key.
 	Prove []proveRec `json:"prove,omitempty"`
 	Solve []solveRec `json:"solve,omitempty"`
@@ -252,18 +256,23 @@ type keySet []string
 
 // MarshalText implements encoding.TextMarshaler. The keys must be sorted and
 // distinct (dedupSet.keys).
-func (ks keySet) MarshalText() ([]byte, error) { return ks.appendText(nil), nil }
+func (ks keySet) MarshalText() ([]byte, error) { return ks.appendText(nil, nil), nil }
 
-// appendText appends the text MarshalText returns to dst.
-func (ks keySet) appendText(dst []byte) []byte {
+// appendText appends the text MarshalText returns to dst. shared, unless
+// nil, holds each key's shared-prefix length with its predecessor
+// (dedupSet.shared), which spares comparing the keys again.
+func (ks keySet) appendText(dst []byte, shared []int) []byte {
 	p := packer{dst: dst}
-	prev := ""
-	for _, k := range ks {
-		n := sharedPrefix(prev, k)
+	for i, k := range ks {
+		n := 0
+		if shared != nil {
+			n = shared[i]
+		} else if i > 0 {
+			n = sharedPrefix(ks[i-1], k)
+		}
 		p.uvarint(uint64(n))
 		p.uvarint(uint64(len(k) - n))
 		p.bytes(k[n:])
-		prev = k
 	}
 	return p.finish()
 }
@@ -582,9 +591,9 @@ func (s *searcher) snapshot() (*Snapshot, error) {
 		MaxRuns:       s.opts.MaxRuns,
 		Runs:          s.stats.Runs,
 		Stats:         s.stats.encodeRec(),
-		Tried:         s.tried.keys(),
-		Targeted:      s.targeted.keys(),
 	}
+	snap.Tried, snap.triedShared = s.tried.frontCoded()
+	snap.Targeted, snap.targetedShared = s.targeted.frontCoded()
 	if s.eng.Samples.Len() > 0 {
 		var buf bytes.Buffer
 		if err := s.eng.Samples.Encode(&buf); err != nil {

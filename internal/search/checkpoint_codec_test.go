@@ -458,3 +458,38 @@ func TestSnapshotEncoderMatchesReflection(t *testing.T) {
 		})
 	}
 }
+
+// TestKeySetIncrementalFrontCoding: a dedup set that merges new keys in
+// between snapshots writes the bytes a set sorted and front-coded from
+// scratch writes, at every snapshot, and leaves an earlier snapshot's keys
+// and prefix lengths as they were.
+func TestKeySetIncrementalFrontCoding(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var set dedupSet
+	type taken struct {
+		keys   keySet
+		shared []int
+		text   string
+	}
+	var snaps []taken
+	for round := 0; round < 40; round++ {
+		for i := rng.Intn(60); i > 0; i-- {
+			b := make([]byte, rng.Intn(40))
+			for j := range b {
+				b[j] = byte(rng.Intn(3))
+			}
+			set.add(string(b))
+		}
+		ks, shared := set.frontCoded()
+		want, _ := ks.MarshalText()
+		if got := ks.appendText(nil, shared); string(got) != string(want) {
+			t.Fatalf("round %d: incremental front coding differs from a fresh one", round)
+		}
+		snaps = append(snaps, taken{ks, shared, string(want)})
+	}
+	for i, sn := range snaps {
+		if got := sn.keys.appendText(nil, sn.shared); string(got) != sn.text {
+			t.Fatalf("snapshot %d changed after later merges", i)
+		}
+	}
+}

@@ -20,7 +20,8 @@ import (
 //     first time a snapshot holds them, and the fragment is reused by every
 //     later snapshot (item.ckpt, proofCache.records);
 //   - the dedup sets and the cache keep their snapshot order, and merge in
-//     only the keys added since (dedupSet.keys, mergeSorted);
+//     only the keys added since (dedupSet.merge, mergeSorted); the dedup
+//     sets also keep their front coding, recomputed only next to new keys;
 //   - Snapshot.AppendJSON frames the top-level object by hand around those
 //     fragments, and writes the packed key sets straight into the output.
 //
@@ -66,8 +67,8 @@ func (snap *Snapshot) AppendJSON(dst []byte) ([]byte, error) {
 	if dst, err = appendRecs(dst, "cold", snap.Cold, itemEnc); err != nil {
 		return nil, err
 	}
-	dst = appendKeySet(dst, "tried", snap.Tried)
-	dst = appendKeySet(dst, "targeted", snap.Targeted)
+	dst = appendKeySet(dst, "tried", snap.Tried, snap.triedShared)
+	dst = appendKeySet(dst, "targeted", snap.Targeted, snap.targetedShared)
 	if dst, err = appendRecs(dst, "prove", snap.Prove, func(r *proveRec) []byte { return r.enc }); err != nil {
 		return nil, err
 	}
@@ -112,14 +113,15 @@ func appendRecs[T any](dst []byte, name string, recs []T, enc func(*T) []byte) (
 	return append(dst, ']'), nil
 }
 
-// appendKeySet appends a non-empty key set as a field. Base64 needs no JSON
-// escaping, so the text goes straight into dst.
-func appendKeySet(dst []byte, name string, ks keySet) []byte {
+// appendKeySet appends a non-empty key set as a field, front-coded with
+// shared if it is not nil (keySet.appendText). Base64 needs no JSON escaping,
+// so the text goes straight into dst.
+func appendKeySet(dst []byte, name string, ks keySet, shared []int) []byte {
 	if len(ks) == 0 {
 		return dst
 	}
 	dst = append(appendName(dst, name), '"')
-	return append(ks.appendText(dst), '"')
+	return append(ks.appendText(dst, shared), '"')
 }
 
 // packer streams a packed form (uvarints and raw bytes) into dst as base64.
@@ -162,11 +164,15 @@ func (p *packer) finish() []byte {
 
 // dedupSet is a set of dedup keys. Once a snapshot has read it, it also
 // keeps its keys in increasing order for the next one: sorted holds every
-// key as of the last snapshot and fresh the keys added since.
+// key as of the last snapshot and fresh the keys added since. shared[i] is
+// the number of bytes sorted[i] shares with sorted[i-1], the front coding a
+// snapshot writes (keySet); a merge recomputes it only next to the keys it
+// inserts.
 type dedupSet struct {
 	m      map[string]bool
 	track  bool
 	sorted keySet
+	shared []int
 	fresh  []string
 }
 
@@ -213,10 +219,47 @@ func (d *dedupSet) keys() keySet {
 		}
 	}
 	if len(d.fresh) > 0 {
-		d.sorted = mergeSorted(d.sorted, d.fresh, strings.Compare)
-		d.fresh = d.fresh[:0]
+		d.merge()
 	}
 	return d.sorted
+}
+
+// frontCoded returns keys() and each key's shared-prefix length with its
+// predecessor.
+func (d *dedupSet) frontCoded() (keySet, []int) {
+	ks := d.keys() // before reading d.shared, which it updates
+	return ks, d.shared
+}
+
+// merge sorts the fresh keys into new sorted and shared slices: the old ones
+// may belong to an earlier snapshot and are left as they are. An old key
+// keeps its prefix length unless an inserted key now precedes it.
+func (d *dedupSet) merge() {
+	add := d.fresh
+	slices.Sort(add)
+	old, oldShared := d.sorted, d.shared
+	out := make(keySet, len(old)+len(add))
+	shared := make([]int, len(out))
+	i, j := 0, 0
+	afterOld := false // out[k-1] is old[i-1]
+	for k := range out {
+		switch {
+		case j < len(add) && (i == len(old) || add[j] < old[i]):
+			out[k] = add[j]
+			j, afterOld = j+1, false
+		case afterOld:
+			out[k], shared[k] = old[i], oldShared[i]
+			i++
+			continue
+		default:
+			out[k] = old[i]
+			i, afterOld = i+1, true
+		}
+		if k > 0 {
+			shared[k] = sharedPrefix(out[k-1], out[k])
+		}
+	}
+	d.sorted, d.shared, d.fresh = out, shared, add[:0]
 }
 
 // mergeSorted sorts add and merges it into old, a sorted run sharing no

@@ -78,7 +78,7 @@ func (s *searcher) dischargeCallbacks(targets []*target, ex *concolic.Execution,
 		s.stats.ProofsPerWorker[0]++
 		if s.tracing() {
 			s.taskEvent("callback", 0, t0, t.dur,
-				map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.Key()))},
+				map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.key))},
 				map[string]string{"tier": tier, "verdict": t.outcome.String(), "status": t.status.String()})
 		}
 	}
@@ -92,7 +92,7 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 	if !s.countVerdict(t) {
 		return false
 	}
-	st := fol.FillFallback(t.strategy, t.alt, fb)
+	st := fol.FillFallback(t.strategy, t.alt.vars, fb)
 	var res *fol.Resolution
 	for round := 0; round < probeRounds; round++ {
 		res = st.Resolve(store)
@@ -125,7 +125,7 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 	if !res.Complete {
 		return false
 	}
-	input, ok := s.testFrom(res.Values, ex.Input, t.alt, store)
+	input, ok := s.testFrom(res.Values, ex.Input, t.alt.expr, store)
 	if !ok {
 		return false
 	}
@@ -140,7 +140,7 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 // parameters inherit the parent's function unchanged, keeping the rest of the
 // replayed path stable.
 func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot bool) {
-	t.status, t.model = s.solve(t.alt)
+	t.status, t.model = s.solve(t.alt.expr)
 	if !s.countSolve(t) {
 		return
 	}
@@ -148,7 +148,7 @@ func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot boo
 	if !s.inBounds(input) {
 		return
 	}
-	applies := sym.Applies(t.alt)
+	applies := sym.Applies(t.alt.expr)
 	shape := s.eng.FuncShape()
 	funcs := make([]*mini.FuncValue, len(shape))
 	for i := range shape {

@@ -123,8 +123,10 @@ func expandOnce(t *testing.T, mode concolic.Mode) (*concolic.Execution, []item) 
 		opts:      Options{MaxRuns: 100, MaxMultiStep: 3, ProverNodes: 4000, Workers: 1},
 		stats:     newStats(mode.String(), eng.Prog.NumBranches),
 		cache:     newProofCache(),
+		forms:     newFormulas(len(eng.FuncShape()) > 0),
 		varBounds: map[int]smt.Bound{},
 	}
+	s.prefix = newSlicer(s.forms)
 	s.stats.ProofsPerWorker = make([]int64, 1)
 	ex := eng.Run(w.Seeds[0])
 	s.expand(ex, 0, true)

@@ -147,6 +147,8 @@ func Run(eng *concolic.Engine, opts Options) *Stats {
 	}
 	s := &searcher{eng: eng, opts: opts, stats: newStats(eng.Mode.String(), eng.Prog.NumBranches)}
 	s.cache = newProofCache()
+	s.forms = newFormulas(len(eng.FuncShape()) > 0)
+	s.prefix = newSlicer(s.forms)
 	s.obs = opts.Obs
 	s.live.init(s.obs)
 	if s.obs.Enabled() && eng.Obs == nil {
@@ -334,6 +336,12 @@ type searcher struct {
 	// cache memoizes per-target proof and satisfiability results; see
 	// cache.go. Only the coordinator touches it.
 	cache *proofCache
+	// forms interns path-constraint conjuncts and alternate formulas; see
+	// slice.go. prefix and keys are expand's slicer and key packer, reused
+	// by every expansion. Only the coordinator touches them.
+	forms  *formulas
+	prefix *slicer
+	keys   keyPacker
 	// solveNanos aggregates the duration of individual prover/solver tasks
 	// across workers (atomic).
 	solveNanos int64
@@ -711,12 +719,12 @@ func diverged(actual []mini.BranchEvent, expected concolic.Prediction) bool {
 // target is one proof obligation of an expansion: ALT(pc_k) with its trace
 // prediction. The solve phase fills the result fields.
 type target struct {
-	alt sym.Expr
+	alt *altFormula
 	// k indexes the negated constraint in the execution's path constraint;
 	// ex.Prediction(k) is the target's trace prediction.
 	k int
-	// key is the cache key: the formula's canonical string and, for a
-	// validity proof, the store version it is looked up at (proveKeyOf).
+	// key is the cache key: the formula's canonical key and, for a validity
+	// proof, the store version it is looked up at (proveKeyOf).
 	// The satisfiability cache reads key.formula alone.
 	key proveKey
 	// Higher-order result: core strategy (no fallback defs) and outcome.
@@ -753,28 +761,25 @@ type target struct {
 // so they are discharged concurrently and their results applied in constraint
 // order.
 func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
-	// The prefix grows by one conjunct per constraint. The slicer and the key
-	// packer take in each conjunct's dependencies and branch event once, not
-	// once per target; every test generated here predicts its trace with a
-	// view of ex's branch trace, never a copy.
-	fnInputs := len(s.eng.FuncShape()) > 0
-	prefix := newSlicer()
+	// The prefix grows by one conjunct per constraint. Each conjunct is
+	// interned (formulas), so its dependencies, negation and keys are derived
+	// once per search, not once per occurrence; the slicer and the key packer
+	// take in each conjunct's record and branch event once, not once per
+	// target. Every test generated here predicts its trace with a view of ex's
+	// branch trace, never a copy.
+	prefix, keys := s.prefix, &s.keys
+	prefix.reset()
+	keys.reset(ex.Result.Branches)
 	for i := 0; i < bound && i < len(ex.PC); i++ {
-		e := ex.PC[i].Expr
-		prefix.add(e, depIDs(e, fnInputs))
+		prefix.add(s.forms.conjunct(ex.PC[i].Expr))
 	}
-	keys := keyPacker{branches: ex.Result.Branches}
 	var targets, callback []*target
 	for k := bound; k < len(ex.PC); k++ {
-		c := ex.PC[k]
-		if c.IsConcretization {
-			prefix.add(c.Expr, depIDs(c.Expr, fnInputs))
-			continue
-		}
-		negated := sym.NotExpr(c.Expr)
-		if key := keys.key(c.EventIndex, negated); s.targeted.insert(key) {
-			t := &target{alt: prefix.slice(negated), k: k, worker: -1}
-			if hasInputFn(t.alt, fnInputs) {
+		pc := ex.PC[k]
+		c := s.forms.conjunct(pc.Expr)
+		if !pc.IsConcretization && s.targeted.insert(keys.key(pc.EventIndex, c.negKey)) {
+			t := &target{alt: prefix.slice(c), k: k, worker: -1}
+			if t.alt.callback {
 				// The target constrains a function-valued input: it is solved
 				// by the witness-constructor path (funcsynth.go), which
 				// materializes a concrete decision table per generated test.
@@ -785,12 +790,12 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 			if s.tracing() {
 				s.emit(obs.Event{Kind: "target", Worker: -1,
 					Num: map[string]int64{
-						"k": int64(k), "conjuncts": int64(len(sym.Conjuncts(t.alt))),
-						"formula_size": int64(len(t.alt.Key())),
+						"k": int64(k), "conjuncts": int64(len(sym.Conjuncts(t.alt.expr))),
+						"formula_size": int64(len(t.alt.key)),
 					}})
 			}
 		}
-		prefix.add(c.Expr, depIDs(c.Expr, fnInputs))
+		prefix.add(c)
 	}
 	if len(targets) > 0 || len(callback) > 0 {
 		s.discharge(targets, callback, ex, hot)
@@ -801,9 +806,9 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 // §5 ladder in one sequence. Higher-order targets are validity proofs of
 // POST(pc), the lower modes' are satisfiability checks of ALT(pc).
 //
-//   - Select: each target is looked up in the proof cache. Computing its key
-//     also memoizes the formula's canonical string, so workers never write
-//     the lazy key fields of shared subterms.
+//   - Select: each target is looked up in the proof cache under its
+//     formula's interned key (formulas), whose making memoized the key
+//     fields of every subterm, so workers never write them.
 //   - Fan out: cache misses go to the workers, which only read the frozen
 //     sample store and allocate from the synchronized pool.
 //   - Apply: results are accounted, cached and turned into tests in
@@ -838,7 +843,7 @@ func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution
 		if ho {
 			t.key = proveKeyOf(t.alt, version)
 		} else {
-			t.key = proveKey{formula: t.alt.Key()}
+			t.key = proveKey{formula: t.alt.key}
 		}
 		t.fromCache = s.cached(t, ho)
 		if t.fromCache && !(ho && s.shouldDegrade(t.outcome, false)) {
@@ -851,7 +856,7 @@ func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution
 		t := todo[i]
 		t0 := time.Now()
 		if !ho {
-			t.status, t.model = s.solve(t.alt)
+			t.status, t.model = s.solve(t.alt.expr)
 		} else {
 			if !t.fromCache {
 				s.prove(t, s.eng.Samples)
@@ -889,7 +894,7 @@ func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution
 		if s.tracing() {
 			s.emit(obs.Event{Kind: "cache", Worker: -1,
 				Str: map[string]string{"op": op, "result": cache}})
-			num := map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.Key()))}
+			num := map[string]int64{"k": int64(t.k), "formula_size": int64(len(t.alt.key))}
 			str := map[string]string{"cache": cache}
 			if ho {
 				if t.strategy != nil {
@@ -955,8 +960,8 @@ func (s *searcher) applyProof(t *target, ex *concolic.Execution, fb map[int]int6
 			// The cached strategy is shared; FillFallback copies it while
 			// fixing this target's unconstrained variables at the parent
 			// input's values.
-			strategy: fol.FillFallback(t.strategy, t.alt, fb),
-			alt:      t.alt,
+			strategy: fol.FillFallback(t.strategy, t.alt.vars, fb),
+			alt:      t.alt.expr,
 			expected: ex.Prediction(t.k),
 			fallback: ex.Input,
 			funcs:    ex.Funcs,
@@ -1001,7 +1006,7 @@ func (s *searcher) prove(t *target, store *sym.SampleStore) {
 			t.strategy, t.outcome, t.panicked = nil, fol.OutcomeUnknown, true
 		}
 	}()
-	t.strategy, t.outcome = fol.ProveCore(t.alt, store, fol.Options{
+	t.strategy, t.outcome = fol.ProveCore(t.alt.expr, store, fol.Options{
 		Pool:      s.eng.Pool,
 		VarBounds: s.varBounds,
 		NoRefute:  !s.opts.Refute,

@@ -9,6 +9,106 @@ import (
 	"hotg/internal/sym"
 )
 
+// formulas interns what expand derives from path constraints, after
+// hash-consing (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
+// A search negates every branch of every run, but the same few conjuncts and
+// alternate formulas recur across runs as pointer-distinct, structurally equal
+// terms. Each conjunct maps, by sym.Hash and sym.Equal, to the record of its
+// first occurrence, which holds its dependency IDs and its negation, computed
+// once. Each alternate formula is keyed by the records it conjoins and holds
+// the formula, its canonical key, its variables and whether it applies an
+// unknown or a function-valued input, also computed once.
+//
+// The records are derived state: only the coordinator touches them, they are
+// not snapshotted, and a resumed search rebuilds them. A record's terms have
+// their keys memoized when it is made, so workers only ever read them.
+type formulas struct {
+	// fnInputs reports whether the program has function-valued inputs (see
+	// depIDs).
+	fnInputs bool
+	// conjs buckets the conjunct records by sym.Hash; a bucket chains its
+	// records through conjunct.next.
+	conjs  map[uint64]*conjunct
+	nconjs int
+	// alts maps the packed IDs of a formula's negated and related conjuncts
+	// (alt) to the formula's record.
+	alts map[string]*altFormula
+	buf  []byte
+}
+
+// conjunct is the record of one path-constraint conjunct.
+type conjunct struct {
+	id   int
+	expr sym.Expr
+	// deps are expr's dependency IDs (depIDs): what the slicer unites.
+	deps []int
+	// neg is expr's negation, negKey its canonical key and negVars its
+	// variable IDs, sorted: the negated constraint of a target, its part of
+	// the dedup key, and the slice's seeds.
+	neg     sym.Expr
+	negKey  string
+	negVars []int
+	// next is the next record in the same hash bucket.
+	next *conjunct
+}
+
+// altFormula is the record of one alternate formula: a slice of a path
+// constraint's prefix conjoined with a negated conjunct.
+type altFormula struct {
+	expr sym.Expr
+	key  string
+	// hasApply reports whether expr applies an uninterpreted function
+	// (proveKeyOf), callback whether it applies a function-valued input (the
+	// target goes to funcsynth.go).
+	hasApply bool
+	callback bool
+	// vars are expr's variables in ID order, for fol.FillFallback.
+	vars []*sym.Var
+}
+
+func newFormulas(fnInputs bool) *formulas {
+	return &formulas{fnInputs: fnInputs, conjs: map[uint64]*conjunct{}, alts: map[string]*altFormula{}}
+}
+
+// conjunct returns the record of e, making it on e's first occurrence.
+func (f *formulas) conjunct(e sym.Expr) *conjunct {
+	h := sym.Hash(e)
+	head := f.conjs[h]
+	for c := head; c != nil; c = c.next {
+		if sym.Equal(c.expr, e) {
+			return c
+		}
+	}
+	neg := sym.NotExpr(e)
+	c := &conjunct{id: f.nconjs, expr: e, deps: depIDs(e, f.fnInputs),
+		neg: neg, negKey: neg.Key(), negVars: varIDs(neg), next: head}
+	f.nconjs++
+	f.conjs[h] = c
+	return c
+}
+
+// alt returns the record of the formula related ∧ ¬negated, with related in
+// prefix order, making it on first use.
+func (f *formulas) alt(related []*conjunct, negated *conjunct) *altFormula {
+	b := binary.AppendUvarint(f.buf[:0], uint64(negated.id))
+	for _, c := range related {
+		b = binary.AppendUvarint(b, uint64(c.id))
+	}
+	f.buf = b
+	if a, ok := f.alts[string(b)]; ok {
+		return a
+	}
+	parts := make([]sym.Expr, 0, len(related)+1)
+	for _, c := range related {
+		parts = append(parts, c.expr)
+	}
+	e := sym.AndExpr(append(parts, negated.neg)...)
+	a := &altFormula{expr: e, key: e.Key(), hasApply: sym.HasApply(e),
+		callback: hasInputFn(e, f.fnInputs), vars: sym.Vars(e)}
+	f.alts[string(b)] = a
+	return a
+}
+
 // slicer computes the classic DART/SAGE "related constraints" optimization:
 // from the alternate path constraint prefix ∧ ¬c_k, keep only the conjuncts
 // that transitively share input variables with the negated constraint. The
@@ -23,7 +123,8 @@ import (
 // related to a negated constraint exactly when its set contains one of the
 // constraint's variables.
 type slicer struct {
-	exprs []sym.Expr
+	forms *formulas
+	conjs []*conjunct
 	// rep is, per prefix conjunct, a union-find node of its dependency set,
 	// or -1 for a conjunct without dependencies (never related).
 	rep    []int
@@ -31,16 +132,23 @@ type slicer struct {
 	parent []int
 	// mark[root] == query marks a set holding a variable of the current
 	// query's negated constraint.
-	mark  []int
-	query int
+	mark    []int
+	query   int
+	related []*conjunct
 }
 
-func newSlicer() *slicer { return &slicer{node: map[int]int{}} }
+func newSlicer(forms *formulas) *slicer { return &slicer{forms: forms, node: map[int]int{}} }
 
-// add appends a conjunct with dependency IDs ids to the prefix.
-func (sl *slicer) add(e sym.Expr, ids []int) {
+// reset empties the prefix, keeping the slicer's storage for the next one.
+func (sl *slicer) reset() {
+	clear(sl.node)
+	sl.conjs, sl.rep, sl.parent, sl.mark = sl.conjs[:0], sl.rep[:0], sl.parent[:0], sl.mark[:0]
+}
+
+// add appends a conjunct to the prefix.
+func (sl *slicer) add(c *conjunct) {
 	r := -1
-	for _, id := range ids {
+	for _, id := range c.deps {
 		n, ok := sl.node[id]
 		if !ok {
 			n = len(sl.parent)
@@ -55,7 +163,7 @@ func (sl *slicer) add(e sym.Expr, ids []int) {
 			sl.parent[n] = r
 		}
 	}
-	sl.exprs = append(sl.exprs, e)
+	sl.conjs = append(sl.conjs, c)
 	sl.rep = append(sl.rep, r)
 }
 
@@ -68,26 +176,27 @@ func (sl *slicer) find(n int) int {
 	return n
 }
 
-// slice returns the prefix conjuncts related to negated, in prefix order,
-// conjoined with negated.
-func (sl *slicer) slice(negated sym.Expr) sym.Expr {
+// slice returns the alternate formula of negating c: the prefix conjuncts
+// related to c's negation, in prefix order, conjoined with it.
+func (sl *slicer) slice(c *conjunct) *altFormula {
 	sl.query++
 	seeded := false
-	for _, id := range varIDs(negated) {
+	for _, id := range c.negVars {
 		if n, ok := sl.node[id]; ok {
 			sl.mark[sl.find(n)] = sl.query
 			seeded = true
 		}
 	}
-	var parts []sym.Expr
+	related := sl.related[:0]
 	if seeded {
 		for i, r := range sl.rep {
 			if r >= 0 && sl.mark[sl.find(r)] == sl.query {
-				parts = append(parts, sl.exprs[i])
+				related = append(related, sl.conjs[i])
 			}
 		}
 	}
-	return sym.AndExpr(append(parts, negated)...)
+	sl.related = related
+	return sl.forms.alt(related, c)
 }
 
 // varIDs returns the IDs of the variables occurring in e, sorted and distinct.
@@ -169,7 +278,8 @@ func hasInputFn(e sym.Expr, fnInputs bool) bool {
 // most once. The key is exact: the trace's events (appendKeyEvent), a zero
 // byte, then the negated constraint's canonical key. It packs the
 // execution's branch trace once, so a key costs a copy of the packed prefix
-// instead of a copied trace.
+// instead of a copied trace. One packer serves every expansion of a search
+// (reset).
 type keyPacker struct {
 	branches []mini.BranchEvent
 	packed   []byte // events branches[:len(offs)], packed
@@ -177,9 +287,16 @@ type keyPacker struct {
 	buf      []byte
 }
 
+// reset points the packer at another execution's branch trace, keeping its
+// buffers.
+func (kb *keyPacker) reset(branches []mini.BranchEvent) {
+	kb.branches, kb.packed, kb.offs = branches, kb.packed[:0], kb.offs[:0]
+}
+
 // key returns the key of the target that flips event idx of the trace and
-// negates a constraint to negated. The result is valid until the next call.
-func (kb *keyPacker) key(idx int, negated sym.Expr) []byte {
+// negates a constraint to the formula whose canonical key is negKey. The
+// result is valid until the next call.
+func (kb *keyPacker) key(idx int, negKey string) []byte {
 	for len(kb.offs) <= idx {
 		kb.offs = append(kb.offs, len(kb.packed))
 		kb.packed = appendKeyEvent(kb.packed, kb.branches[len(kb.offs)-1])
@@ -189,7 +306,7 @@ func (kb *keyPacker) key(idx int, negated sym.Expr) []byte {
 	b := append(kb.buf[:0], kb.packed[:kb.offs[idx]]...)
 	b = appendKeyEvent(b, flipped)
 	b = append(b, 0)
-	b = append(b, negated.Key()...)
+	b = append(b, negKey...)
 	kb.buf = b
 	return b
 }

@@ -11,14 +11,15 @@ import (
 	"hotg/internal/sym"
 )
 
-// sliceAlt slices prefix ∧ ¬c against negated the way expand does, with
-// each prefix conjunct's variables as its dependencies.
-func sliceAlt(prefix []sym.Expr, negated sym.Expr) sym.Expr {
-	sl := newSlicer()
+// sliceAlt slices prefix ∧ ¬c the way expand does, through conjunct
+// records of a program without function-valued inputs.
+func sliceAlt(prefix []sym.Expr, c sym.Expr) sym.Expr {
+	forms := newFormulas(false)
+	sl := newSlicer(forms)
 	for _, e := range prefix {
-		sl.add(e, varIDs(e))
+		sl.add(forms.conjunct(e))
 	}
-	return sl.slice(negated)
+	return sl.slice(forms.conjunct(c)).expr
 }
 
 // targetKey is the dedup key expand computes for a target whose predicted
@@ -28,7 +29,7 @@ func targetKey(expected []mini.BranchEvent, negated sym.Expr) string {
 	last := len(branches) - 1
 	branches[last].Taken = !branches[last].Taken
 	kb := keyPacker{branches: branches}
-	return string(kb.key(last, negated))
+	return string(kb.key(last, negated.Key()))
 }
 
 func TestSliceAltKeepsRelated(t *testing.T) {
@@ -39,8 +40,8 @@ func TestSliceAltKeepsRelated(t *testing.T) {
 		sym.Eq(sym.VarTerm(z), sym.Int(9)),     // unrelated
 		sym.Lt(sym.VarTerm(x), sym.VarTerm(y)), // links x↔y
 	}
-	negated := sym.Gt(sym.VarTerm(y), sym.Int(5)) // touches y
-	sliced := sliceAlt(prefix, negated)
+	flip := sym.Le(sym.VarTerm(y), sym.Int(5)) // negated, y > 5 touches y
+	sliced := sliceAlt(prefix, flip)
 	cs := sym.Conjuncts(sliced)
 	// Expect: x=1 and x<y retained (transitively via y), z=9 dropped.
 	if len(cs) != 3 {
@@ -63,8 +64,8 @@ func TestSliceAltTransitiveClosure(t *testing.T) {
 		sym.Eq(sym.VarTerm(b), sym.VarTerm(c)),
 		sym.Eq(sym.VarTerm(d), sym.Int(7)),
 	}
-	negated := sym.Ne(sym.VarTerm(a), sym.Int(0))
-	cs := sym.Conjuncts(sliceAlt(prefix, negated))
+	flip := sym.Eq(sym.VarTerm(a), sym.Int(0))
+	cs := sym.Conjuncts(sliceAlt(prefix, flip))
 	if len(cs) != 3 { // a=b, b=c chained in; d=7 out
 		t.Fatalf("sliced = %v", cs)
 	}
@@ -90,8 +91,7 @@ func TestSliceSoundnessProperty(t *testing.T) {
 				prefix = append(prefix, c.Expr)
 				continue
 			}
-			negated := sym.NotExpr(c.Expr)
-			sliced := sliceAlt(prefix, negated)
+			sliced := sliceAlt(prefix, c.Expr)
 			full := ex.Alt(k)
 			st, m := smt.Solve(sliced, smt.Options{Pool: eng.Pool})
 			if st == smt.StatusSat {
@@ -169,41 +169,92 @@ func TestKeyPackerIncremental(t *testing.T) {
 	for _, idx := range r.Perm(len(branches)) {
 		c := sym.Le(sym.VarTerm(x), sym.Int(int64(idx)))
 		fresh := keyPacker{branches: branches}
-		if got, want := string(shared.key(idx, c)), string(fresh.key(idx, c)); got != want {
+		if got, want := string(shared.key(idx, c.Key())), string(fresh.key(idx, c.Key())); got != want {
 			t.Fatalf("idx %d: incremental key %q, fresh key %q", idx, got, want)
 		}
 	}
 }
 
-// TestSlicerMatchesFixpoint: the union-find slicer keeps exactly the
-// conjuncts a per-target reachability fixpoint keeps, on random prefixes
-// with pseudo-IDs (negative, as depIDs gives function inputs) mixed in.
+// TestSlicerMatchesFixpoint: slicing through conjunct records keeps exactly
+// the conjuncts a per-target reachability fixpoint keeps, and so gives the
+// same alternate formula, on random prefixes. The prefixes mix in
+// function-valued-input pseudo-IDs and conjuncts without dependencies, and
+// repeat earlier conjuncts as pointer-distinct but structurally equal terms.
 func TestSlicerMatchesFixpoint(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
+	inputFns := []*sym.Func{
+		{ID: 0, Name: "p", Arity: 1, Input: true},
+		{ID: 1, Name: "q", Arity: 1, Input: true},
+	}
+	env := &sym.Func{ID: 2, Name: "h", Arity: 1}
+	// spec describes one conjunct; build makes a fresh term of it, so two
+	// builds of one spec are equal but share no pointer.
+	type spec struct {
+		ids []int // variable IDs, and -(ID+1) for an input function
+		op  int
+		k   int64
+	}
+	build := func(sp spec) sym.Expr {
+		// A conjunct without dependencies constrains the environment
+		// function alone.
+		sum := sym.ApplyTerm(env, sym.Int(sp.k))
+		if len(sp.ids) > 0 {
+			sum = sym.Int(0)
+		}
+		for _, id := range sp.ids {
+			if id >= 0 {
+				sum = sym.AddSum(sum, sym.VarTerm(&sym.Var{ID: id, Name: "v"}))
+			} else {
+				sum = sym.AddSum(sum, sym.ApplyTerm(inputFns[-id-1], sym.Int(sp.k)))
+			}
+		}
+		if sp.op == 0 {
+			return sym.Eq(sum, sym.Int(sp.k))
+		}
+		return sym.Le(sum, sym.Int(sp.k))
+	}
+	deps := func(sp spec) []int { return sortedIDs(append([]int(nil), sp.ids...)) }
 	for iter := 0; iter < 200; iter++ {
-		sl := newSlicer()
+		forms := newFormulas(true)
+		sl := newSlicer(forms)
+		var specs []spec
 		var exprs []sym.Expr
-		var deps [][]int
+		var prefixDeps [][]int
+		add := func(sp spec) {
+			e := build(sp)
+			specs, exprs, prefixDeps = append(specs, sp), append(exprs, e), append(prefixDeps, deps(sp))
+			sl.add(forms.conjunct(e))
+		}
+		random := func(lo, n, max int) spec {
+			sp := spec{op: r.Intn(2), k: int64(r.Intn(4))}
+			for i := r.Intn(max + 1); i > 0; i-- {
+				sp.ids = append(sp.ids, lo+r.Intn(n))
+			}
+			return sp
+		}
 		for k := 0; k < 30; k++ {
-			ids := make([]int, r.Intn(3))
-			for i := range ids {
-				ids[i] = r.Intn(12) - 2
+			if len(specs) > 0 && r.Intn(3) == 0 {
+				add(specs[r.Intn(len(specs))])
+			} else {
+				add(random(-2, 12, 2))
 			}
-			// The negated constraint's seeds are variable IDs only.
+			// The negated constraint, itself a repeat now and then. Its seeds
+			// are its variable IDs only, never a pseudo-ID.
+			flip := random(-1, 11, 2)
+			if r.Intn(3) == 0 {
+				flip = specs[r.Intn(len(specs))]
+			}
 			var seeds []int
-			negated := sym.Expr(sym.True)
-			for i := r.Intn(3); i > 0; i-- {
-				v := &sym.Var{ID: r.Intn(10), Name: "v"}
-				seeds = append(seeds, v.ID)
-				negated = sym.AndExpr(negated, sym.Eq(sym.VarTerm(v), sym.Int(int64(k))))
+			for _, id := range flip.ids {
+				if id >= 0 {
+					seeds = append(seeds, id)
+				}
 			}
-			want := fixpointSlice(exprs, deps, seeds, negated)
-			if got := sl.slice(negated); got.Key() != want.Key() {
-				t.Fatalf("iter %d k=%d: slicer %v, fixpoint %v", iter, k, got, want)
+			c := build(flip)
+			want := fixpointSlice(exprs, prefixDeps, seeds, sym.NotExpr(c))
+			if got := sl.slice(forms.conjunct(c)); got.key != want.Key() {
+				t.Fatalf("iter %d k=%d: slicer %v, fixpoint %v", iter, k, got.expr, want)
 			}
-			e := sym.Eq(sym.VarTerm(&sym.Var{ID: 100 + k, Name: "e"}), sym.Int(int64(k)))
-			exprs, deps = append(exprs, e), append(deps, ids)
-			sl.add(e, ids)
 		}
 	}
 }

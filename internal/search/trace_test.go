@@ -312,3 +312,28 @@ func TestPhaseTreeSMTIsSolveTime(t *testing.T) {
 		t.Fatalf("smt node %s total %v, want smt.solve.ns sum %v", smt.Name, smt.Total, time.Duration(solveSum))
 	}
 }
+
+// TestPhaseTreeFolIsProveTime checks that the phase tree counts a refutation
+// once: Refute runs inside ProveCore's timed span, so the fol node is the
+// fol.prove.ns histogram's sum, and a one-worker search, whose proofs run
+// one at a time inside it, spends no more in fol than in search.
+func TestPhaseTreeFolIsProveTime(t *testing.T) {
+	o, _ := tracedRun(lexapp.Scanner(), concolic.ModeHigherOrder, search.Options{MaxRuns: 60, Refute: true}, 1)
+	if o.Metrics.Get("fol.refute.calls") == 0 {
+		t.Fatal("the search made no refutation attempt")
+	}
+	var proveSum int64
+	for _, m := range o.Metrics.Snapshot() {
+		if m.Name == "fol.prove.ns" {
+			proveSum = m.Sum
+		}
+	}
+	root := obs.PhaseTree(o.Metrics)
+	fol := root.Children[1]
+	if fol.Name != "fol" || fol.Total != time.Duration(proveSum) {
+		t.Fatalf("fol node %s total %v, want fol.prove.ns sum %v", fol.Name, fol.Total, time.Duration(proveSum))
+	}
+	if fol.Total > root.Total {
+		t.Fatalf("fol %v exceeds search %v", fol.Total, root.Total)
+	}
+}

@@ -85,7 +85,7 @@ func (c *Cmp) Negate() Expr {
 		return &Cmp{Op: OpEq, S: c.S}
 	case OpLe:
 		// ¬(S ≤ 0)  ⇔  S > 0  ⇔  S ≥ 1  ⇔  1-S ≤ 0.
-		return &Cmp{Op: OpLe, S: addConst(NegSum(c.S), 1)}
+		return &Cmp{Op: OpLe, S: AddConst(NegSum(c.S), 1)}
 	}
 	panic("sym: bad CmpOp")
 }
@@ -190,23 +190,90 @@ func cmp(op CmpOp, s *Sum) Expr {
 	return &Cmp{Op: op, S: s}
 }
 
+// Rel is a comparison a ⋈ b as a program writes it, before normalization.
+type Rel int
+
+const (
+	RelEq Rel = iota // a = b
+	RelNe            // a ≠ b
+	RelLt            // a < b
+	RelLe            // a ≤ b
+	RelGt            // a > b
+	RelGe            // a ≥ b
+)
+
+// relDiff returns a ⋈ b from d = a - b, for ⋈ one of =, ≠, <, ≤: the one
+// place comparisons are normalized. Strict < folds to a-b+1 ≤ 0 over the
+// integers; > and ≥ are < and ≤ with the operands swapped (Compare).
+func relDiff(rel Rel, d *Sum) Expr {
+	switch rel {
+	case RelEq:
+		return cmp(OpEq, d)
+	case RelNe:
+		return cmp(OpNe, d)
+	case RelLt:
+		return cmp(OpLe, AddConst(d, 1))
+	case RelLe:
+		return cmp(OpLe, d)
+	}
+	panic("sym: relDiff of a swapped relation")
+}
+
+// swapped returns the relation ⋈' with a ⋈ b ⇔ b ⋈' a, for > and ≥, and
+// reports whether rel is one of them.
+func (rel Rel) swapped() (Rel, bool) {
+	switch rel {
+	case RelGt:
+		return RelLt, true
+	case RelGe:
+		return RelLe, true
+	}
+	return rel, false
+}
+
+// Compare returns the formula a ⋈ b.
+func Compare(rel Rel, a, b *Sum) Expr {
+	if r, ok := rel.swapped(); ok {
+		return Compare(r, b, a)
+	}
+	return relDiff(rel, SubSum(a, b))
+}
+
+// CompareConst returns s ⋈ c: the formula Compare(rel, s, Int(c)) gives,
+// without allocating the constant.
+func CompareConst(rel Rel, s *Sum, c int64) Expr {
+	if r, ok := rel.swapped(); ok {
+		return ConstCompare(r, c, s)
+	}
+	return relDiff(rel, AddConst(s, -c))
+}
+
+// ConstCompare returns c ⋈ s: the formula Compare(rel, Int(c), s) gives,
+// without allocating the constant.
+func ConstCompare(rel Rel, c int64, s *Sum) Expr {
+	if r, ok := rel.swapped(); ok {
+		return CompareConst(r, s, c)
+	}
+	return relDiff(rel, ConstSub(c, s))
+}
+
 // Eq returns the formula a = b.
-func Eq(a, b *Sum) Expr { return cmp(OpEq, SubSum(a, b)) }
+func Eq(a, b *Sum) Expr { return Compare(RelEq, a, b) }
 
 // Ne returns the formula a ≠ b.
-func Ne(a, b *Sum) Expr { return cmp(OpNe, SubSum(a, b)) }
+func Ne(a, b *Sum) Expr { return Compare(RelNe, a, b) }
 
 // Le returns the formula a ≤ b.
-func Le(a, b *Sum) Expr { return cmp(OpLe, SubSum(a, b)) }
+func Le(a, b *Sum) Expr { return Compare(RelLe, a, b) }
 
 // Lt returns the formula a < b (folded to a+1 ≤ b over the integers).
-func Lt(a, b *Sum) Expr { return cmp(OpLe, addConst(SubSum(a, b), 1)) }
+func Lt(a, b *Sum) Expr { return Compare(RelLt, a, b) }
 
 // Ge returns the formula a ≥ b.
-func Ge(a, b *Sum) Expr { return Le(b, a) }
+func Ge(a, b *Sum) Expr { return Compare(RelGe, a, b) }
 
 // Gt returns the formula a > b.
-func Gt(a, b *Sum) Expr { return Lt(b, a) }
+func Gt(a, b *Sum) Expr { return Compare(RelGt, a, b) }
 
 // NotExpr returns the negation of x, folding constants and atomic constraints.
 func NotExpr(x Expr) Expr {

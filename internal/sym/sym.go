@@ -344,10 +344,10 @@ func AtomTerm(a Atom) *Sum { return &Sum{Terms: []Term{{Coef: 1, Atom: a}}} }
 // pointer identity (and the memoized key) of the shared structure.
 func AddSum(a, b *Sum) *Sum {
 	if len(b.Terms) == 0 {
-		return addConst(a, b.Const)
+		return AddConst(a, b.Const)
 	}
 	if len(a.Terms) == 0 {
-		return addConst(b, a.Const)
+		return AddConst(b, a.Const)
 	}
 	terms := make([]Term, 0, len(a.Terms)+len(b.Terms))
 	i, j := 0, 0
@@ -381,19 +381,29 @@ func AddSum(a, b *Sum) *Sum {
 	return &Sum{Const: a.Const + b.Const, Terms: terms}
 }
 
-// addConst returns s + c in canonical form, sharing s's terms; it returns s
+// AddConst returns s + c in canonical form, sharing s's terms: the term
+// AddSum(s, Int(c)) gives, without allocating the constant. It returns s
 // itself when c is 0.
-func addConst(s *Sum, c int64) *Sum {
+func AddConst(s *Sum, c int64) *Sum {
 	if c == 0 {
 		return s
 	}
 	return &Sum{Const: s.Const + c, Terms: s.Terms}
 }
 
+// ConstSub returns c - s: the term SubSum(Int(c), s) gives, without
+// allocating the constant.
+func ConstSub(c int64, s *Sum) *Sum {
+	if len(s.Terms) == 0 {
+		return &Sum{Const: c - s.Const}
+	}
+	return AddConst(NegSum(s), c)
+}
+
 // SubSum returns a - b in canonical form.
 func SubSum(a, b *Sum) *Sum {
 	if len(b.Terms) == 0 {
-		return addConst(a, -b.Const)
+		return AddConst(a, -b.Const)
 	}
 	return AddSum(a, ScaleSum(-1, b))
 }
