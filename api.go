@@ -31,9 +31,10 @@
 //	stats := hotg.Explore(eng, hotg.SearchOptions{MaxRuns: 100, Seeds: [][]int64{{0, 0}}})
 //	fmt.Println(stats.Summary())
 //
-// Explore runs test execution and proving on SearchOptions.Workers goroutines
-// (default GOMAXPROCS); results are bit-identical at every worker count, so
-// parallelism is purely a wall-clock knob.
+// Explore runs each test on the calling goroutine and fans each expansion's
+// proofs out over SearchOptions.Workers goroutines (default GOMAXPROCS);
+// results are bit-identical at every worker count, so parallelism is purely a
+// wall-clock knob.
 package hotg
 
 import (
@@ -326,7 +327,9 @@ func ServeIntrospection(addr string, o *Observer, info func() map[string]int64) 
 }
 
 // Explore performs the directed search (DART for the concretization modes,
-// higher-order test generation for ModeHigherOrder).
+// higher-order test generation for ModeHigherOrder). Tests run one at a time
+// on the calling goroutine; SearchOptions.Workers goroutines discharge each
+// expansion's proofs, with identical results at every worker count.
 func Explore(eng *Engine, opts SearchOptions) *Stats { return search.Run(eng, opts) }
 
 // Fuzz runs the blackbox random baseline.

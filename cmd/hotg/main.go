@@ -75,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		samplesIn  = fs.String("samples-in", "", "load IOF samples from a previous session (JSON)")
 		samplesOut = fs.String("samples-out", "", "save the IOF store at exit (JSON, written atomically)")
 		summaries  = fs.Bool("summaries", false, "enable compositional path summaries (higher-order mode)")
-		workers    = fs.Int("workers", 0, "worker goroutines for test execution and proving (0 = GOMAXPROCS); results are identical at any count")
+		workers    = fs.Int("workers", 0, "proof worker goroutines (0 = GOMAXPROCS; tests run on the coordinator); results are identical at any count")
 		tracePath  = fs.String("trace", "", "write a structured JSONL event trace to this file")
 		profile    = fs.Bool("profile", false, "print a metrics profile (latency percentiles, cache traffic) after the run")
 		chromePath = fs.String("trace-chrome", "", "write a Chrome trace_event JSON (Perfetto, chrome://tracing) to this file")

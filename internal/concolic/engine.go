@@ -281,7 +281,7 @@ func New(prog *mini.Program, mode Mode) *Engine {
 		e.CallbackFns = append(e.CallbackFns, e.Pool.InputFuncSym("@"+fp.Name, fp.Arity))
 	}
 	// Pre-register the unknown-instruction symbols so opFns is read-only from
-	// here on (engine clones share the map across goroutines).
+	// here on (engine clones share the map).
 	for _, name := range []string{"$mul", "$div", "$mod"} {
 		e.opFns[name] = e.Pool.FuncSym(name, 2)
 	}
@@ -290,17 +290,10 @@ func New(prog *mini.Program, mode Mode) *Engine {
 
 // Clone returns an engine that shares the program, mode, pool, input
 // variables, summary cache, and compiled bytecode with e but records samples
-// into the given store (typically a sym.NewOverlay over e.Samples). Clones
-// exist so each search worker can run concurrently: Run's per-run state lives
-// in a private runner, and everything shared is either immutable after New
-// (program, bytecode, opFns) or internally synchronized (pool, sample store,
-// summary cache).
+// into the given store. Snapshot.Validate uses one to trial-restore a
+// checkpoint without touching e's store. Clones are not meant to run
+// concurrently with e: the summary path compiles its bytecode lazily.
 func (e *Engine) Clone(samples *sym.SampleStore) *Engine {
-	if e.Summaries != nil {
-		// The summary path compiles lazily on first use; force it now so
-		// concurrent clones never race on the write.
-		e.compiled()
-	}
 	clone := *e
 	clone.Samples = samples
 	return &clone

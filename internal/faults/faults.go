@@ -34,8 +34,8 @@ type Plan struct {
 	// SolveTimeout makes every smt.Solve call report StatusTimeout without
 	// solving.
 	SolveTimeout bool
-	// ExecPanic makes every concolic Engine.Run call panic. The search batch
-	// executor must recover, drop the item, and keep going.
+	// ExecPanic makes every concolic Engine.Run call panic. The search
+	// coordinator must recover, drop the item, and keep going.
 	ExecPanic bool
 	// VMWrongMod makes mini.RunVM compute floored (Python-style) modulo
 	// instead of Go's truncated modulo, so results differ from the concolic

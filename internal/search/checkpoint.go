@@ -40,10 +40,10 @@ const SnapshotFormatVersion = 3
 
 // CheckpointOptions configures periodic coordinator-state snapshots.
 type CheckpointOptions struct {
-	// Every takes a snapshot at the first work-loop boundary at which at
-	// least Every runs have been applied since the previous snapshot
-	// (0 = no checkpointing). Boundaries fall between batches, so with N
-	// workers the actual spacing may exceed Every by up to N-1 runs.
+	// Every takes a snapshot each time Every more runs have been applied
+	// since the previous snapshot or restore (0 = no checkpointing). The
+	// coordinator applies one run per work unit, so snapshots fall at the
+	// same runs at every worker count.
 	Every int
 	// Sink receives each snapshot, synchronously on the coordinator (write
 	// it to durable storage and return). A sink error is recorded in
@@ -443,10 +443,10 @@ func (s *Stats) applyRec(rec statsRec) {
 // trace) and nothing it does not (timing, worker figures).
 // Two searches explored the same trajectory iff their Canonical bytes match.
 //
-// Checkpoint counts are excluded: checkpoints fire at batch boundaries, whose
-// positions depend on the worker count, so the cumulative count is session
-// bookkeeping rather than trajectory (and an interrupted run that resumes
-// without a sink configured would otherwise never match).
+// Checkpoint counts are excluded: they depend on the checkpoint cadence, so
+// the cumulative count is session bookkeeping rather than trajectory (and an
+// interrupted run that resumes without a sink configured would otherwise
+// never match).
 //
 // Proof-cache hit/miss counts are likewise excluded: they record how the
 // trajectory was computed, not the trajectory, so a change to what the cache
@@ -693,9 +693,9 @@ func (snap *Snapshot) Validate(eng *concolic.Engine) error {
 }
 
 // maybeCheckpoint snapshots the coordinator state when the configured cadence
-// has elapsed. It runs at work-loop boundaries only (between batches), where
-// the state is exactly what a sequential search would hold after the same
-// runs, so every snapshot is a canonical resume point.
+// has elapsed. It runs at work-loop boundaries only, between two work units,
+// where no run or proof is in flight, so every snapshot is a canonical resume
+// point.
 func (s *searcher) maybeCheckpoint() {
 	co := s.opts.Checkpoint
 	if co.Every <= 0 || co.Sink == nil || s.ckptFailed {
@@ -727,11 +727,11 @@ func (s *searcher) maybeCheckpoint() {
 		s.obs.Counter("search.checkpoints").Inc()
 	}
 	if s.tracing() {
-		// Checkpoint events are deterministic in content but not in position
-		// across worker counts: batches advance Runs by up to Workers, so the
-		// cadence crosses its threshold at slightly different run indices.
-		// Stream comparisons across worker counts filter them out (they are
-		// boundary markers, not search events); see DESIGN.md §9.
+		// Checkpoint events are deterministic in content and position at
+		// every worker count. They are still session-boundary markers, not
+		// search events: kill/resume comparisons filter them out, because a
+		// resumed session's cadence restarts at its restore point; see
+		// DESIGN.md §9.
 		s.emit(obs.Event{Kind: "checkpoint", Worker: -1,
 			Num: map[string]int64{
 				"runs": int64(s.stats.Runs), "tests": int64(s.stats.TestsGenerated),

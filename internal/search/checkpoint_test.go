@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -249,6 +250,60 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	_, st := resumeRun(t, w, concolic.ModeHigherOrder, opts, 4, snaps[len(snaps)/2])
 	if got, want := mustCanonical(t, st), mustCanonical(t, baseStats); got != want {
 		t.Errorf("resume at workers=4 of a workers=1 snapshot diverged:\nuninterrupted: %s\nresumed:       %s", want, got)
+	}
+}
+
+// TestCheckpointCadenceAcrossWorkerCounts pins the checkpoint cadence at every
+// worker count: the coordinator executes one test per work-loop iteration, so
+// a search checkpoints at exactly the same runs with 1, 2 or 4 workers. The
+// snapshots are byte-identical after JSON encoding, and so is the whole trace
+// stream, checkpoint events included (minus timestamps, durations and worker
+// IDs).
+func TestCheckpointCadenceAcrossWorkerCounts(t *testing.T) {
+	w, _ := lexapp.Get("lexer")
+	opts := search.Options{MaxRuns: 200}
+	const every = 7
+	encode := func(snaps []*search.Snapshot) [][]byte {
+		out := make([][]byte, len(snaps))
+		for i, snap := range snaps {
+			raw, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = raw
+		}
+		return out
+	}
+	stream := func(o *obs.Obs) []string {
+		var out []string
+		for _, ev := range o.Trace.Events() {
+			out = append(out, canonicalLine(ev))
+		}
+		return out
+	}
+	baseObs, _, baseSnaps := checkpointedRun(t, w, concolic.ModeHigherOrder, opts, 1, every)
+	if want := opts.MaxRuns / every; len(baseSnaps) != want {
+		t.Fatalf("workers=1 took %d checkpoints, want %d", len(baseSnaps), want)
+	}
+	for i, snap := range baseSnaps {
+		if want := (i + 1) * every; snap.Runs != want {
+			t.Fatalf("workers=1 checkpoint %d at run %d, want %d", i+1, snap.Runs, want)
+		}
+	}
+	want, wantStream := encode(baseSnaps), stream(baseObs)
+	for _, workers := range []int{2, 4} {
+		o, _, snaps := checkpointedRun(t, w, concolic.ModeHigherOrder, opts, workers, every)
+		got := encode(snaps)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d took %d checkpoints, workers=1 took %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("workers=%d checkpoint %d differs from workers=1:\nworkers=1: %.300s\nworkers=%d: %.300s",
+					workers, i+1, want[i], workers, got[i])
+			}
+		}
+		diffLines(t, fmt.Sprintf("workers=%d", workers), wantStream, stream(o))
 	}
 }
 

@@ -32,7 +32,7 @@ func (g *liveGauges) init(o *obs.Obs) {
 }
 
 // publish refreshes the live view from the coordinator state. Called between
-// batches (coordinator goroutine only) and once more after the final batch,
+// work units (coordinator goroutine only) and once more after the last one,
 // so the post-run values equal the search's final Stats.
 func (s *searcher) publishLive() {
 	g := &s.live

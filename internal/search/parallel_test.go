@@ -52,8 +52,8 @@ func runWorkers(w *lexapp.Workload, mode concolic.Mode, opts search.Options, wor
 
 // assertSameAcrossWorkers checks that the search trajectory is bit-identical
 // at every worker count — the central exactness guarantee of the parallel
-// coordinator (batches contain only independent work; results merge in
-// enqueue order).
+// coordinator (tests run on the coordinator; proof results apply in
+// constraint order).
 func assertSameAcrossWorkers(t *testing.T, name string, w *lexapp.Workload, mode concolic.Mode, opts search.Options, summaries bool) {
 	t.Helper()
 	base := fingerprint(runWorkers(w, mode, opts, 1, summaries))

@@ -39,14 +39,14 @@ type Options struct {
 	Refute bool
 	// ProverNodes caps the validity-proof search per target (default 4000).
 	ProverNodes int
-	// Workers sets how many goroutines execute tests and discharge
-	// per-target proof obligations (default GOMAXPROCS). Workers=1 runs the
-	// classic sequential algorithm on the calling goroutine. Any setting
-	// produces identical results: the coordinator batches only independent
-	// work and merges worker results in enqueue order, so the explored
-	// trajectory — runs, tests, coverage, bugs, samples, prover verdicts —
-	// is bit-for-bit the same at every worker count. Only the timing and
-	// per-worker load figures in Stats depend on scheduling.
+	// Workers sets how many goroutines discharge an expansion's per-target
+	// proof obligations (default GOMAXPROCS). Tests always run one at a time
+	// on the calling goroutine; Workers=1 discharges proofs there too. Any
+	// setting produces identical results: the coordinator applies worker
+	// results in constraint order, so the explored trajectory — runs, tests,
+	// coverage, bugs, samples, prover verdicts, checkpoints — is bit-for-bit
+	// the same at every worker count. Only the timing and per-worker load
+	// figures in Stats depend on scheduling.
 	Workers int
 	// Obs, when non-nil, enables observability: metrics flow into its
 	// registry from every layer (search, prover, solver, executor), and, when
@@ -314,12 +314,11 @@ func (s *searcher) flushObs() {
 	}
 }
 
-// searcher is the search coordinator. All queue, dedup-map, statistics, and
-// shared-sample-store mutation happens on the coordinating goroutine; workers
-// only execute tests against sample-store overlays and discharge proof
-// obligations against the frozen shared store (see processBatch and
-// discharge for why the merge order makes every worker count produce
-// identical results).
+// searcher is the search coordinator. Every test runs on the coordinating
+// goroutine, and all queue, dedup-map, statistics, and shared-sample-store
+// mutation happens there; workers only discharge proof obligations against
+// the frozen shared store (see discharge for why applying their results in
+// constraint order makes every worker count produce identical results).
 type searcher struct {
 	eng   *concolic.Engine
 	opts  Options
@@ -330,6 +329,10 @@ type searcher struct {
 	// chunk — stay hot instead of drowning in breadth-first noise.
 	hot, cold []item
 	varBounds map[int]smt.Bound
+	// env is testFrom's input environment by variable ID. Its key set is
+	// always exactly the input variables, so each call overwrites it whole.
+	// Only the coordinator touches it.
+	env map[int]int64
 	// tried holds the run keys of executed inputs, targeted the dedup keys
 	// of expanded branch targets.
 	tried, targeted dedupSet
@@ -410,66 +413,18 @@ func (s *searcher) funcsText(funcs []*mini.FuncValue) []string {
 	return out
 }
 
-// batchSource says where nextBatch got its work from.
-type batchSource int
-
-const (
-	srcEmpty   batchSource = iota // both queues drained
-	srcPending                    // a multi-step continuation to resume
-	srcRun                        // inputs to execute
-)
-
-// nextBatch takes the next unit(s) of work off the queues, replicating the
-// sequential pop order exactly:
-//
-//   - a pending continuation at the hot head is returned alone — it must
-//     re-resolve against the samples exactly as they stand now;
-//   - consecutive plain items at the hot head form a batch (bounded by the
-//     worker count and the remaining run budget). Their executions are
-//     mutually independent — concrete behavior never depends on the sample
-//     store — so running them concurrently and merging in order is exact;
-//   - a cold item is returned alone: its expansion may enqueue hot children
-//     that sequentially precede the rest of the cold queue.
-//
-// Inputs already tried are dropped during selection, exactly when the
-// sequential loop would have popped and skipped them.
-func (s *searcher) nextBatch() ([]item, batchSource) {
-	if len(s.hot) > 0 {
-		if s.hot[0].pending != nil {
-			it := s.hot[0]
-			s.hot = s.hot[1:]
-			return []item{it}, srcPending
-		}
-		limit := s.opts.MaxRuns - s.stats.Runs
-		if limit > s.opts.Workers {
-			limit = s.opts.Workers
-		}
-		var batch []item
-		var batchKeys map[string]bool
-		for len(batch) < limit && len(s.hot) > 0 && s.hot[0].pending == nil {
-			it := s.hot[0]
-			s.hot = s.hot[1:]
-			key := s.runKey(it.input, it.funcs)
-			if s.tried.has(key) || batchKeys[key] {
-				continue
-			}
-			if batchKeys == nil {
-				batchKeys = make(map[string]bool, limit)
-			}
-			batchKeys[key] = true
-			batch = append(batch, it)
-		}
-		return batch, srcRun
+// next pops the next item off the queues: the hot queue first, then the
+// cold one. It reports false when both are drained.
+func (s *searcher) next() (it item, ok bool) {
+	switch {
+	case len(s.hot) > 0:
+		it, s.hot = s.hot[0], s.hot[1:]
+	case len(s.cold) > 0:
+		it, s.cold = s.cold[0], s.cold[1:]
+	default:
+		return item{}, false
 	}
-	if len(s.cold) > 0 {
-		it := s.cold[0]
-		s.cold = s.cold[1:]
-		if s.tried.has(s.runKey(it.input, it.funcs)) {
-			return nil, srcRun
-		}
-		return []item{it}, srcRun
-	}
-	return nil, srcEmpty
+	return it, true
 }
 
 func (s *searcher) run() {
@@ -478,25 +433,28 @@ func (s *searcher) run() {
 		if s.stopEarly() {
 			return
 		}
-		// Checkpoint after the cancellation check: a cancelled batch drops
-		// items nondeterministically (whichever were in flight), so the
-		// post-cancel state is not on the canonical trajectory and must
-		// never become a resume point.
+		// Checkpoint after the cancellation check: a run cancelled mid-flight
+		// is dropped, so the post-cancel state is not on the canonical
+		// trajectory and must never become a resume point.
 		s.maybeCheckpoint()
-		batch, src := s.nextBatch()
-		switch src {
-		case srcEmpty:
+		it, ok := s.next()
+		if !ok {
 			s.stats.Exhausted = true
 			return
-		case srcPending:
+		}
+		if it.pending != nil {
 			// Re-resolve a blocked strategy after its intermediate tests.
-			s.resolveAndEnqueue(batch[0].pending, false)
+			s.resolveAndEnqueue(it.pending, false)
 			continue
 		}
-		if len(batch) == 0 {
-			continue // only duplicates were queued
+		key := s.runKey(it.input, it.funcs)
+		if s.tried.has(key) {
+			continue
 		}
-		if s.processBatch(batch) {
+		// The input counts as tried even if its run is dropped below, so the
+		// queue cannot loop on it.
+		s.tried.add(key)
+		if s.execute(it) {
 			return
 		}
 	}
@@ -505,8 +463,8 @@ func (s *searcher) run() {
 // stopEarly checks the search context between work units. On cancellation it
 // records the cause — a fired deadline (ours or the caller's) versus an
 // explicit cancel — emits the cancel event, and tells the run loop to return
-// with whatever partial results stand. Everything already merged stays valid:
-// the coordinator only applies completed work, in order.
+// with whatever partial results stand. Everything already applied stays
+// valid: the coordinator only applies completed work, in order.
 func (s *searcher) stopEarly() bool {
 	if !s.canceled() {
 		return false
@@ -526,143 +484,95 @@ func (s *searcher) stopEarly() bool {
 	return true
 }
 
-// processBatch executes the batch (concurrently when it has more than one
-// item), then merges results in batch order: each item's new samples land in
-// the shared store, its run is recorded, and its expansion runs — exactly the
-// per-item sequence of the sequential loop. The merge order matters: sample
-// insertion order steers the prover's choice ordering, so it must not depend
-// on worker completion order. It returns true when the search should stop.
-func (s *searcher) processBatch(batch []item) bool {
-	type runResult struct {
-		ex       *concolic.Execution
-		overlay  *sym.SampleStore
-		panicked bool
-		worker   int
-		start    time.Time
-		dur      time.Duration
-	}
-	// execOne shields the coordinator from executor panics (injected faults or
-	// interpreter defects): a panicking run is dropped and accounted instead of
-	// taking the whole search down.
-	execOne := func(eng *concolic.Engine, input []int64, funcs []*mini.FuncValue) (ex *concolic.Execution, panicked bool) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				ex, panicked = nil, true
-			}
-		}()
-		return eng.RunWith(input, funcs), false
-	}
+// runShielded executes one test on the coordinator's engine, so the samples
+// it observes land straight in the shared store. It shields the coordinator
+// from executor panics (injected faults or interpreter defects): a panicking
+// run is dropped and accounted instead of taking the whole search down.
+func (s *searcher) runShielded(it item) (ex *concolic.Execution, panicked bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			ex, panicked = nil, true
+		}
+	}()
+	return s.eng.RunWith(it.input, it.funcs), false
+}
+
+// execute runs one test, records the run and expands it. It returns true
+// when the search should stop.
+func (s *searcher) execute(it item) bool {
 	tracing := s.tracing()
-	// prevLen tracks the shared store size so per-item "samples learned"
-	// counts come from merge-order deltas — deterministic at any worker count
-	// (the per-overlay NewSamples counts are not: two overlays of one batch
-	// may both record a sample only one of them gets to merge first).
-	var prevLen int
+	var t0 time.Time
 	if tracing {
-		prevLen = s.eng.Samples.Len()
+		t0 = time.Now()
 	}
-	results := make([]runResult, len(batch))
-	if len(batch) == 1 {
-		var t0 time.Time
-		if tracing {
-			t0 = time.Now()
-		}
-		results[0].ex, results[0].panicked = execOne(s.eng, batch[0].input, batch[0].funcs)
-		if tracing {
-			results[0].start, results[0].dur = t0, time.Since(t0)
-		}
-	} else {
-		s.parallelDo(len(batch), func(i, worker int) {
-			var t0 time.Time
+	ex, panicked := s.runShielded(it)
+	if ex == nil || ex.Canceled {
+		// Dropped: the executor panicked or the run was cancelled mid-flight.
+		// Nothing is recorded — a partial run's coverage would make reports
+		// depend on cancellation timing.
+		if panicked {
+			s.stats.Budget.ExecFailures++
 			if tracing {
-				t0 = time.Now()
+				s.emit(obs.Event{Kind: "exec_failure", Worker: -1,
+					Str: map[string]string{"input": fmt.Sprint(it.input)}})
 			}
-			overlay := sym.NewOverlay(s.eng.Samples)
-			ex, panicked := execOne(s.eng.Clone(overlay), batch[i].input, batch[i].funcs)
-			results[i] = runResult{ex: ex, overlay: overlay, panicked: panicked, worker: worker, start: t0}
-			if tracing {
-				results[i].dur = time.Since(t0)
-			}
-		})
+		}
+		return false
 	}
-	for i, it := range batch {
-		r := results[i]
-		if r.ex == nil || r.ex.Canceled {
-			// Dropped: the executor panicked, the run was cancelled mid-flight,
-			// or the batch was cut short before this item started. The input
-			// still counts as tried so the queue cannot loop on it; nothing is
-			// merged or recorded — a partial run's coverage would make reports
-			// depend on cancellation timing.
-			s.tried.add(s.runKey(it.input, it.funcs))
-			if r.panicked {
-				s.stats.Budget.ExecFailures++
-				if tracing {
-					s.emit(obs.Event{Kind: "exec_failure", Worker: -1,
-						Str: map[string]string{"input": fmt.Sprint(it.input)}})
-				}
-			}
-			continue
+	bugsBefore := len(s.stats.Bugs)
+	funcsText := s.funcsText(it.funcs)
+	gained := s.stats.recordRunFuncs(ex.Result, it.input, funcsText)
+	if ex.Incomplete {
+		s.stats.Incomplete = true
+	}
+	div := !it.expected.IsZero() && diverged(ex.Result.Branches, it.expected)
+	if div {
+		s.stats.Divergences++
+	}
+	if tracing {
+		intermediate := int64(0)
+		if it.noExpand {
+			intermediate = 1
 		}
-		if r.overlay != nil {
-			s.eng.Samples.MergeLocal(r.overlay)
+		s.taskEvent("exec_task", -1, t0, time.Since(t0),
+			map[string]int64{
+				"run": int64(s.stats.Runs), "gained": int64(gained),
+				"path_len": int64(len(ex.PC)), "branches": int64(len(ex.Result.Branches)),
+				"intermediate": intermediate,
+			},
+			map[string]string{"input": fmt.Sprint(it.input)})
+		if ex.NewSamples > 0 {
+			s.emit(obs.Event{Kind: "samples_learned", Worker: -1,
+				Num: map[string]int64{"count": int64(ex.NewSamples), "total": int64(s.eng.Samples.Len()), "run": int64(s.stats.Runs)}})
 		}
-		s.tried.add(s.runKey(it.input, it.funcs))
-		bugsBefore := len(s.stats.Bugs)
-		funcsText := s.funcsText(it.funcs)
-		gained := s.stats.recordRunFuncs(r.ex.Result, it.input, funcsText)
-		if r.ex.Incomplete {
-			s.stats.Incomplete = true
-		}
-		div := !it.expected.IsZero() && diverged(r.ex.Result.Branches, it.expected)
 		if div {
-			s.stats.Divergences++
+			s.emit(obs.Event{Kind: "divergence", Worker: -1,
+				Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(it.expected.Len()), "actual_len": int64(len(ex.Result.Branches))}})
 		}
-		if tracing {
-			intermediate := int64(0)
-			if it.noExpand {
-				intermediate = 1
-			}
-			s.taskEvent("exec_task", r.worker, r.start, r.dur,
-				map[string]int64{
-					"run": int64(s.stats.Runs), "gained": int64(gained),
-					"path_len": int64(len(r.ex.PC)), "branches": int64(len(r.ex.Result.Branches)),
-					"intermediate": intermediate,
-				},
-				map[string]string{"input": fmt.Sprint(it.input)})
-			if cur := s.eng.Samples.Len(); cur > prevLen {
-				s.emit(obs.Event{Kind: "samples_learned", Worker: -1,
-					Num: map[string]int64{"count": int64(cur - prevLen), "total": int64(cur), "run": int64(s.stats.Runs)}})
-				prevLen = cur
-			}
-			if div {
-				s.emit(obs.Event{Kind: "divergence", Worker: -1,
-					Num: map[string]int64{"run": int64(s.stats.Runs), "expected_len": int64(it.expected.Len()), "actual_len": int64(len(r.ex.Result.Branches))}})
-			}
-			for _, b := range s.stats.Bugs[bugsBefore:] {
-				s.emit(obs.Event{Kind: "bug_found", Worker: -1,
-					Num: map[string]int64{"run": int64(b.Run), "site": int64(b.Site)},
-					Str: map[string]string{"kind": b.Kind.String(), "msg": b.Msg, "input": fmt.Sprint(b.Input)}})
-			}
+		for _, b := range s.stats.Bugs[bugsBefore:] {
+			s.emit(obs.Event{Kind: "bug_found", Worker: -1,
+				Num: map[string]int64{"run": int64(b.Run), "site": int64(b.Site)},
+				Str: map[string]string{"kind": b.Kind.String(), "msg": b.Msg, "input": fmt.Sprint(b.Input)}})
 		}
-		if s.opts.OnRun != nil {
-			rec := RunRecord{
-				Run: s.stats.Runs, Input: it.input, Funcs: funcsText, Path: r.ex.Result.Path(),
-				Gained: gained, Rung: it.rung,
-				Seed:         !it.noExpand && it.expected.IsZero(),
-				Intermediate: it.noExpand,
-				Diverged:     div,
-			}
-			if len(s.stats.Bugs) > bugsBefore {
-				rec.Bugs = append([]Bug(nil), s.stats.Bugs[bugsBefore:]...)
-			}
-			s.opts.OnRun(rec)
+	}
+	if s.opts.OnRun != nil {
+		rec := RunRecord{
+			Run: s.stats.Runs, Input: it.input, Funcs: funcsText, Path: ex.Result.Path(),
+			Gained: gained, Rung: it.rung,
+			Seed:         !it.noExpand && it.expected.IsZero(),
+			Intermediate: it.noExpand,
+			Diverged:     div,
 		}
-		if s.opts.StopAtFirstBug && len(s.stats.ErrorSitesFound()) > 0 {
-			return true
+		if len(s.stats.Bugs) > bugsBefore {
+			rec.Bugs = append([]Bug(nil), s.stats.Bugs[bugsBefore:]...)
 		}
-		if !it.noExpand {
-			s.expand(r.ex, it.bound, gained > 0)
-		}
+		s.opts.OnRun(rec)
+	}
+	if s.opts.StopAtFirstBug && len(s.stats.ErrorSitesFound()) > 0 {
+		return true
+	}
+	if !it.noExpand {
+		s.expand(ex, it.bound, gained > 0)
 	}
 	return false
 }
@@ -1107,11 +1017,13 @@ func (s *searcher) testFrom(values map[int]int64, fallback []int64, alt sym.Expr
 	if !s.inBounds(input) {
 		return nil, false
 	}
-	env := make(map[int]int64, len(input))
-	for i, v := range s.eng.InputVars {
-		env[v.ID] = input[i]
+	if s.env == nil {
+		s.env = make(map[int]int64, len(input))
 	}
-	if ok, probes := fol.Holds(alt, env, store); len(probes) == 0 && !ok {
+	for i, v := range s.eng.InputVars {
+		s.env[v.ID] = input[i]
+	}
+	if ok, probes := fol.Holds(alt, s.env, store); len(probes) == 0 && !ok {
 		return nil, false
 	}
 	return input, true

@@ -148,7 +148,8 @@ func TestTraceMetricsPopulated(t *testing.T) {
 
 // TestChromeTraceValid checks the Chrome trace_event export is valid JSON in
 // the shape Perfetto loads: a traceEvents array with ph/pid/tid on every
-// entry and one named track per worker plus the coordinator.
+// entry and one named track per worker plus the coordinator, which draws
+// every test execution.
 func TestChromeTraceValid(t *testing.T) {
 	o, _ := tracedRun(lexapp.Lexer(), concolic.ModeHigherOrder, search.Options{MaxRuns: 80}, 4)
 	var buf bytes.Buffer
@@ -166,6 +167,7 @@ func TestChromeTraceValid(t *testing.T) {
 	}
 	threadNames := map[float64]string{}
 	phases := map[string]int{}
+	execs := 0
 	for _, ev := range doc.TraceEvents {
 		ph, _ := ev["ph"].(string)
 		phases[ph]++
@@ -176,6 +178,16 @@ func TestChromeTraceValid(t *testing.T) {
 		if _, ok := ev["pid"]; !ok {
 			t.Fatal("event missing pid")
 		}
+		// Every test runs on the coordinator, so its slice is on tid 0.
+		if ev["name"] == "exec_task" {
+			execs++
+			if tid := ev["tid"].(float64); tid != 0 {
+				t.Errorf("exec_task on tid %v, want the coordinator's tid 0", tid)
+			}
+		}
+	}
+	if execs == 0 {
+		t.Error("no exec_task slices in the trace")
 	}
 	if phases["X"] == 0 || phases["i"] == 0 {
 		t.Errorf("want both complete (X) and instant (i) events, got %v", phases)

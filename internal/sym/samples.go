@@ -48,11 +48,12 @@ type fnSamples struct {
 // all previous runs", Section 5.3), which is what makes hard-coded keyword
 // hashes learnable over a testing session (Section 7).
 //
-// A store is safe for concurrent use. A store may also be an *overlay* over a
-// base store (NewOverlay): reads fall through to the base, writes stay local.
-// The parallel search gives each worker an overlay over the shared store and
-// merges the overlays back in deterministic batch order, so the merged store
-// is sample-for-sample identical to what a sequential search would build.
+// A store is safe for concurrent use: the search's coordinator records
+// samples into its shared store between proof fan-outs, and proof workers
+// read it during one. A store may also be an *overlay* over a base store
+// (NewOverlay): reads fall through to the base, writes stay local. The
+// callback tier of the search answers probes into one overlay per expansion,
+// which is dropped, never merged back.
 type SampleStore struct {
 	mu    sync.RWMutex
 	base  *SampleStore // read-through parent; nil for a root store
@@ -68,7 +69,7 @@ func NewSampleStore() *SampleStore {
 // NewOverlay returns an empty store layered over base: lookups read through
 // to base, additions are recorded locally (duplicates of base entries are
 // dropped, conflicting outputs panic as in Add). The overlay never writes to
-// base; merge it back explicitly with base.Merge(overlay).
+// base.
 func NewOverlay(base *SampleStore) *SampleStore {
 	return &SampleStore{base: base, byFn: make(map[*Func]*fnSamples)}
 }
@@ -182,14 +183,6 @@ func (s *SampleStore) Len() int {
 	return n + len(s.order)
 }
 
-// LocalLen reports the number of samples recorded in this store itself,
-// excluding any base store.
-func (s *SampleStore) LocalLen() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.order)
-}
-
 // Clone returns an independent (root) copy of the store.
 func (s *SampleStore) Clone() *SampleStore {
 	c := NewSampleStore()
@@ -197,26 +190,6 @@ func (s *SampleStore) Clone() *SampleStore {
 		c.Add(smp.Fn, smp.Args, smp.Out)
 	}
 	return c
-}
-
-// Merge adds every sample of other into s, in other's insertion order.
-func (s *SampleStore) Merge(other *SampleStore) {
-	for _, smp := range other.All() {
-		s.Add(smp.Fn, smp.Args, smp.Out)
-	}
-}
-
-// MergeLocal adds only other's locally recorded samples into s (skipping
-// other's base), in insertion order. This is the merge step of the parallel
-// search: each worker overlay's new samples land in the shared store exactly
-// once, in batch order.
-func (s *SampleStore) MergeLocal(other *SampleStore) {
-	other.mu.RLock()
-	local := append([]Sample(nil), other.order...)
-	other.mu.RUnlock()
-	for _, smp := range local {
-		s.Add(smp.Fn, smp.Args, smp.Out)
-	}
 }
 
 // FnEval adapts the store to the evaluation interface of Env.

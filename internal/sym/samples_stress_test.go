@@ -54,10 +54,12 @@ func TestSampleStoreConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestSampleStoreOverlayStress mirrors the search's worker pattern: several
-// goroutines each build a private overlay over one shared base store while
-// others read the base, then the overlays merge back sequentially. Under
-// -race this covers NewOverlay/Add/Lookup/LocalLen/MergeLocal.
+// TestSampleStoreOverlayStress mirrors the search's remaining concurrency:
+// while proof workers read the shared root store (Lookup, ForFunc, Len), the
+// callback tier writes an overlay over it. Under -race this covers
+// NewOverlay/Add/Lookup/ForFunc/Len across goroutines; the assertions check
+// that readers always see the root's samples and that the overlay's writes
+// never reach the root.
 func TestSampleStoreOverlayStress(t *testing.T) {
 	base := NewSampleStore()
 	var pool Pool
@@ -65,36 +67,51 @@ func TestSampleStoreOverlayStress(t *testing.T) {
 	for i := int64(0); i < 50; i++ {
 		base.Add(fn, []int64{i, 0}, i)
 	}
-	const goroutines = 8
-	overlays := make([]*SampleStore, goroutines)
+	const readers = 8
 	var wg sync.WaitGroup
-	wg.Add(goroutines)
-	for g := 0; g < goroutines; g++ {
+	wg.Add(readers + 1)
+	for g := 0; g < readers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			ov := NewOverlay(base)
-			overlays[g] = ov
-			for i := int64(0); i < 100; i++ {
-				// Base hits must resolve through the overlay without copying.
-				if out, ok := ov.Lookup(fn, []int64{i % 50, 0}); !ok || out != i%50 {
-					t.Errorf("overlay missed base sample %d", i%50)
+			for i := int64(0); i < 200; i++ {
+				if out, ok := base.Lookup(fn, []int64{(i + int64(g)) % 50, 0}); !ok || out != (i+int64(g))%50 {
+					t.Errorf("reader %d missed root sample %d", g, (i+int64(g))%50)
 					return
 				}
-				// Overlapping local writes across overlays (same args, same
-				// out) — each overlay records its own copy.
-				ov.Add(fn, []int64{i % 20, int64(g%2) + 1}, (i%20)*10)
-			}
-			if ov.LocalLen() != 20 {
-				t.Errorf("overlay %d has %d local samples, want 20", g, ov.LocalLen())
+				if n := len(base.ForFunc(fn)); n != 50 {
+					t.Errorf("reader %d saw %d samples of %s, want 50", g, n, fn.Name)
+					return
+				}
+				if n := base.Len(); n != 50 {
+					t.Errorf("reader %d saw a root store of %d samples, want 50", g, n)
+					return
+				}
 			}
 		}(g)
 	}
+	ov := NewOverlay(base)
+	go func() {
+		defer wg.Done()
+		for i := int64(0); i < 100; i++ {
+			// Base hits must resolve through the overlay without copying.
+			if out, ok := ov.Lookup(fn, []int64{i % 50, 0}); !ok || out != i%50 {
+				t.Errorf("overlay missed base sample %d", i%50)
+				return
+			}
+			// Duplicates of base entries are dropped; new pairs stay local.
+			ov.Add(fn, []int64{i % 50, 0}, i%50)
+			ov.Add(fn, []int64{i % 20, 1}, (i%20)*10)
+		}
+	}()
 	wg.Wait()
-	for _, ov := range overlays {
-		base.MergeLocal(ov)
+	// 50 base + 20 local samples read through the overlay; none in the root.
+	if got, want := ov.Len(), 50+20; got != want {
+		t.Fatalf("overlay has %d samples, want %d", got, want)
 	}
-	// 50 base + 20 args × 2 distinct second-arg values from the overlays.
-	if got, want := base.Len(), 50+40; got != want {
-		t.Fatalf("merged base has %d samples, want %d", got, want)
+	if got, want := len(ov.ForFunc(fn)), 50+20; got != want {
+		t.Fatalf("overlay lists %d samples of %s, want %d", got, fn.Name, want)
+	}
+	if got, want := base.Len(), 50; got != want {
+		t.Fatalf("overlay writes reached the root store: %d samples, want %d", got, want)
 	}
 }

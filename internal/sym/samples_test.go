@@ -87,7 +87,7 @@ func TestSampleStoreArityPanic(t *testing.T) {
 	s.Add(h, []int64{1, 2}, 5)
 }
 
-func TestSampleStoreCloneAndMerge(t *testing.T) {
+func TestSampleStoreClone(t *testing.T) {
 	var p Pool
 	h := p.FuncSym("h", 1)
 	a := NewSampleStore()
@@ -96,10 +96,6 @@ func TestSampleStoreCloneAndMerge(t *testing.T) {
 	b.Add(h, []int64{2}, 20)
 	if a.Len() != 1 || b.Len() != 2 {
 		t.Fatalf("clone isolation: a=%d b=%d", a.Len(), b.Len())
-	}
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merge: %d", a.Len())
 	}
 }
 
