@@ -21,6 +21,8 @@ const (
 	HardMaxNodes = 1 << 20
 	// hardMaxConjuncts bounds the width of any intermediate proof goal.
 	hardMaxConjuncts = 1 << 14
+	// maxProofDepth caps the depth of the backtracking proof search.
+	maxProofDepth = 64
 )
 
 // Options configures Prove.
@@ -31,8 +33,6 @@ type Options struct {
 	VarBounds map[int]smt.Bound
 	// MaxNodes caps the backtracking search (default 20000).
 	MaxNodes int
-	// MaxDepth caps proof depth (default 64).
-	MaxDepth int
 	// Pool supplies fresh variables for the refutation pass and for
 	// residual solving; optional (a private pool is used when nil).
 	Pool *sym.Pool
@@ -90,9 +90,6 @@ func ProveCore(pc sym.Expr, samples *sym.SampleStore, opts Options) (*Strategy, 
 	}
 	if opts.MaxNodes > HardMaxNodes {
 		opts.MaxNodes = HardMaxNodes
-	}
-	if opts.MaxDepth <= 0 {
-		opts.MaxDepth = 64
 	}
 	if opts.Pool == nil {
 		opts.Pool = &sym.Pool{}
@@ -277,7 +274,7 @@ func (p *prover) searchT(conjuncts []sym.Expr, defs []Def, trace []tstep, depth 
 // given depth: it fails when a limit is hit (node budget, depth, goal width,
 // deadline) and otherwise charges the node against the budget.
 func (p *prover) enter(width, depth int) bool {
-	if p.budget <= 0 || depth > p.opts.MaxDepth {
+	if p.budget <= 0 || depth > maxProofDepth {
 		return false
 	}
 	// Defensive width guard (independent of the node budget): EUF and sample

@@ -3,7 +3,6 @@ package search
 import (
 	"time"
 
-	"hotg/internal/fol"
 	"hotg/internal/smt"
 	"hotg/internal/sym"
 )
@@ -86,21 +85,10 @@ func (s *searcher) proofDeadline() time.Time {
 	return d
 }
 
-// shouldDegrade reports whether a target with this proof outcome should be
-// retried on a lower rung: only when the ladder is enabled and the top rung
-// was cut short (timeout, exhausted node budget, or a recovered panic) —
-// never when it returned a sound verdict (proved or invalid).
-func (s *searcher) shouldDegrade(outcome fol.Outcome, panicked bool) bool {
-	if !s.opts.Budget.Degrade {
-		return false
-	}
-	return panicked || outcome == fol.OutcomeTimeout || outcome == fol.OutcomeUnknown
-}
-
-// degradeTarget walks one target down the ladder after its validity proof was
-// cut short. It runs on a worker goroutine: it reads only the frozen sample
-// store, the engine's immutable tables, and the target itself (which no other
-// goroutine touches until the coordinator applies results in order).
+// degradeTarget walks one target down the ladder after its validity proof
+// was cut short and returns the last rung it tried with that rung's verdict.
+// fb is the parent input by variable ID. Both rungs solve through the solve
+// cache (solveCached); only the acceptance of a rung-2 model reads fb.
 //
 // Rung 2 (quantifier-free): decide satisfiability of ALT(pc) directly. An
 // unsat verdict is decisive — no interpretation of the unknown functions
@@ -112,17 +100,14 @@ func (s *searcher) shouldDegrade(outcome fol.Outcome, panicked bool) bool {
 // Rung 1 (concretization): substitute every uninterpreted application by its
 // concrete value under the parent input and solve the residual arithmetic.
 // This mirrors DART's unsound concretization; a resulting test may diverge.
-func (s *searcher) degradeTarget(t *target, fb map[int]int64) {
-	t.rung = RungQF
-	t.status, t.model = s.solve(t.alt.expr)
-	if t.status == smt.StatusUnsat {
-		return
+func (s *searcher) degradeTarget(alt *altFormula, fb map[int]int64) (Rung, smt.Status, *smt.Model) {
+	status, model := s.solveCached(alt.key, alt.expr)
+	if status == smt.StatusUnsat || status == smt.StatusSat && s.qfModelSound(alt.expr, fb, model) {
+		return RungQF, status, model
 	}
-	if t.status == smt.StatusSat && s.qfModelSound(t.alt.expr, fb, t.model) {
-		return
-	}
-	t.rung = RungConcretize
-	t.status, t.model = s.solve(s.concretizeAlt(t.alt.expr, fb))
+	conc := s.concretizeAlt(alt.expr, fb)
+	status, model = s.solveCached(conc.Key(), conc)
+	return RungConcretize, status, model
 }
 
 // qfModelSound checks a rung-2 model against the ground truth: the formula

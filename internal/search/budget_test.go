@@ -199,3 +199,35 @@ func TestZeroBudgetIsInert(t *testing.T) {
 		t.Errorf("zero Budget produced a BudgetSummary: %s", st.BudgetSummary())
 	}
 }
+
+// TestDegradeSolvesEachFormulaOnce checks that the ladder's rung solves go
+// through the solve cache: with every proof cut short, each degraded target
+// makes one or two rung attempts (rung 2, then rung 1 if rung 2 gave no
+// accepted model), yet each distinct rung formula reaches the solver once.
+// Under injected proof timeouts the proof cache keeps nothing, so the cache's
+// final size is exactly the number of distinct formulas solved, and the
+// misses beyond the per-target proof lookups are exactly the solves.
+func TestDegradeSolvesEachFormulaOnce(t *testing.T) {
+	defer faults.Set(&faults.Plan{ProveTimeout: true})()
+	o, st := tracedRun(lexapp.Lexer(), concolic.ModeHigherOrder,
+		search.Options{MaxRuns: 120, Budget: search.Budget{Degrade: true}}, 2)
+	bs := st.Budget
+	attempts := int64(bs.DegradedQF + 2*bs.DegradedConc)
+	if bs.DegradedQF == 0 || bs.DegradedConc == 0 {
+		t.Fatalf("the ladder did not reach both rungs: %s", budgetLine(st))
+	}
+	solves := o.Metrics.Get("smt.solve.calls")
+	t.Logf("%d rung attempts, %d solves", attempts, solves)
+	if solves >= attempts {
+		t.Errorf("smt.solve.calls = %d for %d rung attempts: rung formulas were re-solved", solves, attempts)
+	}
+	if distinct := o.Metrics.Get("search.proof_cache.size"); solves != distinct {
+		t.Errorf("smt.solve.calls = %d, want one per distinct formula solved (%d)", solves, distinct)
+	}
+	if misses := int64(st.ProofCacheMisses - st.ProverCalls); solves != misses {
+		t.Errorf("smt.solve.calls = %d, want one per rung cache miss (%d)", solves, misses)
+	}
+	if lookups := int64(st.ProofCacheHits + st.ProofCacheMisses - st.ProverCalls); lookups != attempts {
+		t.Errorf("%d rung cache lookups, want one per rung attempt (%d)", lookups, attempts)
+	}
+}

@@ -33,7 +33,10 @@ import (
 // the version they were proved at. Timed-out and panicked proofs are never
 // cached. The store is frozen while an expansion's proofs are in flight, so
 // Len() is a sound version stamp. Satisfiability entries need no version: the
-// solver never reads samples.
+// solver never reads samples. Every satisfiability check the search makes on
+// a target formula — a lower-mode target, either rung of the degradation
+// ladder, callback synthesis — shares the one solve map, keyed by the formula
+// actually solved; timed-out solves are never cached.
 //
 // Only the coordinator goroutine reads or writes the cache (workers receive
 // the already-filtered miss list), so it needs no lock. Cached strategies are

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hotg/internal/concolic"
+	"hotg/internal/faults"
 	"hotg/internal/lexapp"
 	"hotg/internal/obs"
 	"hotg/internal/search"
@@ -250,6 +251,32 @@ func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
 	_, st := resumeRun(t, w, concolic.ModeHigherOrder, opts, 4, snaps[len(snaps)/2])
 	if got, want := mustCanonical(t, st), mustCanonical(t, baseStats); got != want {
 		t.Errorf("resume at workers=4 of a workers=1 snapshot diverged:\nuninterrupted: %s\nresumed:       %s", want, got)
+	}
+}
+
+// TestCheckpointResumeDegradeLadder kills a search whose every proof is cut
+// short at its middle checkpoint and resumes it at two workers. The ladder's
+// rung solves fill the solve cache, so the snapshot carries solve entries,
+// and the resumed search, which reads them instead of solving, must land on
+// the uninterrupted run's canonical stats.
+func TestCheckpointResumeDegradeLadder(t *testing.T) {
+	defer faults.Set(&faults.Plan{ProveTimeout: true})()
+	w := lexapp.Lexer()
+	opts := search.Options{MaxRuns: 120, Budget: search.Budget{Degrade: true}}
+	_, baseStats, snaps := checkpointedRun(t, w, concolic.ModeHigherOrder, opts, 1, 10)
+	if len(snaps) < 2 {
+		t.Fatalf("want at least 2 checkpoints, got %d", len(snaps))
+	}
+	if baseStats.Budget.Degraded() == 0 {
+		t.Fatal("no target was degraded; the drill is vacuous")
+	}
+	snap := snaps[len(snaps)/2]
+	if len(snap.Solve) == 0 {
+		t.Fatal("the middle snapshot carries no solve cache entries")
+	}
+	_, st := resumeRun(t, w, concolic.ModeHigherOrder, opts, 2, snap)
+	if got, want := mustCanonical(t, st), mustCanonical(t, baseStats); got != want {
+		t.Errorf("resumed ladder search diverged:\nuninterrupted: %s\nresumed:       %s", want, got)
 	}
 }
 

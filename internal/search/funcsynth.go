@@ -21,15 +21,17 @@ package search
 //   function itself is invented to drive the program down the flipped branch.
 //   Tier 2 runs even when tier 1 returned invalid — "invalid under the
 //   observed samples" only rules out the parent's function, not every
-//   function, and the function is part of the input.
+//   function, and the function is part of the input. The solve reads no
+//   samples, so it goes through the search's solve cache like every other
+//   satisfiability check.
 //
-// Callback targets never touch the proof cache: their verdicts depend on the
-// parent execution's private callback samples, which are not part of the
-// versioned shared store, so a cache entry would leak one test's function
-// into another's proof. They come last in the expansion's discharge sequence
-// and run one at a time on the coordinator, in constraint order: tier 1
-// writes its probe answers into one overlay per expansion that later targets
-// read, and the per-target work is small. The canonical trajectory is
+// Tier 1 never touches the proof cache: its verdict depends on the parent
+// execution's private callback samples, which are not part of the versioned
+// shared store, so a cache entry would leak one test's function into
+// another's proof. Callback targets come last in the expansion's discharge
+// sequence and run one at a time on the coordinator, in constraint order:
+// tier 1 writes its probe answers into one overlay per expansion that later
+// targets read, and the per-target work is small. The canonical trajectory is
 // therefore identical at every worker count.
 
 import (
@@ -64,6 +66,9 @@ func (s *searcher) dischargeCallbacks(targets []*target, ex *concolic.Execution,
 		}
 	}
 	for _, t := range targets {
+		if s.canceled() {
+			return // the rest of a cancelled expansion stays unapplied
+		}
 		t0 := time.Now()
 		t.worker, t.start = 0, t0
 		s.stats.CallbackTargets++
@@ -73,7 +78,6 @@ func (s *searcher) dischargeCallbacks(targets []*target, ex *concolic.Execution,
 			s.callbackSynthesize(t, ex, hot)
 		}
 		t.dur = time.Since(t0)
-		t.done = true
 		atomic.AddInt64(&s.solveNanos, int64(t.dur))
 		s.stats.ProofsPerWorker[0]++
 		if s.tracing() {
@@ -140,7 +144,7 @@ func (s *searcher) callbackProve(t *target, ex *concolic.Execution, store *sym.S
 // parameters inherit the parent's function unchanged, keeping the rest of the
 // replayed path stable.
 func (s *searcher) callbackSynthesize(t *target, ex *concolic.Execution, hot bool) {
-	t.status, t.model = s.solve(t.alt.expr)
+	t.status, t.model = s.solveCached(t.alt.key, t.alt.expr)
 	if !s.countSolve(t) {
 		return
 	}

@@ -627,7 +627,7 @@ func diverged(actual []mini.BranchEvent, expected concolic.Prediction) bool {
 }
 
 // target is one proof obligation of an expansion: ALT(pc_k) with its trace
-// prediction. The solve phase fills the result fields.
+// prediction. discharge fills the result fields.
 type target struct {
 	alt *altFormula
 	// k indexes the negated constraint in the execution's path constraint;
@@ -640,23 +640,12 @@ type target struct {
 	// Higher-order result: core strategy (no fallback defs) and outcome.
 	strategy *fol.Strategy
 	outcome  fol.Outcome
-	// Satisfiability result (non-higher-order modes, and the degraded rungs
-	// of higher-order mode).
+	// Satisfiability result (the lower modes and callback synthesis).
 	status smt.Status
 	model  *smt.Model
-	// rung is the final precision-ladder rung attempted (higher-order mode):
-	// RungProof unless Budget.Degrade walked the target down after a cut-short
-	// proof, in which case status/model hold the lower rung's result.
-	rung Rung
 	// panicked marks a validity proof that panicked and was recovered (the
-	// outcome is then unknown). fromCache marks a selection-time cache hit —
-	// such targets skip ProveCore but still run degraded retries, which
-	// depend on the parent input and are never cached. done is set by the
-	// worker that finished the target; unset means the fan-out was cancelled
-	// before the target ran, and the coordinator skips it entirely.
-	panicked  bool
-	fromCache bool
-	done      bool
+	// outcome is then unknown, and degradable).
+	panicked bool
 	// Scheduling facts for the trace (which worker discharged the proof,
 	// when, how long); zero for cache hits. Excluded from canonical streams.
 	worker int
@@ -719,22 +708,22 @@ func (s *searcher) expand(ex *concolic.Execution, bound int, hot bool) {
 //   - Select: each target is looked up in the proof cache under its
 //     formula's interned key (formulas), whose making memoized the key
 //     fields of every subterm, so workers never write them.
-//   - Fan out: cache misses go to the workers, which only read the frozen
-//     sample store and allocate from the synchronized pool.
+//   - Fan out: cache misses go to the workers, which only prove or solve,
+//     reading the frozen sample store and allocating from the synchronized
+//     pool.
 //   - Apply: results are accounted, cached and turned into tests in
-//     constraint order on the coordinator.
+//     constraint order on the coordinator, which also walks cut-short
+//     proofs down the degradation ladder (applyProof). Once the search
+//     context fires, the remaining targets stay unapplied.
 //
 // Callback targets come last, one at a time on the coordinator
 // (funcsynth.go): their first tier answers probes into one overlay that
 // later targets of the expansion read.
 //
-// Under Budget.Degrade, a target whose proof was cut short (timeout, node
-// budget, recovered panic) is walked down the precision ladder on the same
-// worker (degradeTarget). Degraded results depend on the parent input and are
-// never cached; cache-hit targets with a degradable outcome therefore still
-// fan out, just skipping the proof. Timed-out and panicked proofs are not
-// cached either — an entry recording "ran out of wall clock" would poison
-// every later occurrence of the formula.
+// Solves are cached by formula and proofs also by sample-store version
+// (cache.go); a ladder's outcome is decided per target. Timed-out and
+// panicked work is never cached: an entry recording "ran out of wall clock"
+// would poison every later occurrence of the formula.
 func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution, hot bool) {
 	ho := s.eng.Mode == concolic.ModeHigherOrder
 	// fb is the parent input by variable ID: the fallback a proved strategy
@@ -755,38 +744,29 @@ func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution
 		} else {
 			t.key = proveKey{formula: t.alt.key}
 		}
-		t.fromCache = s.cached(t, ho)
-		if t.fromCache && !(ho && s.shouldDegrade(t.outcome, false)) {
-			t.done = true // a selection-time hit, read back when applied
-		} else {
+		if !s.cached(t, ho) {
 			todo = append(todo, t)
 		}
 	}
 	s.parallelDo(len(todo), func(i, worker int) {
 		t := todo[i]
 		t0 := time.Now()
-		if !ho {
-			t.status, t.model = s.solve(t.alt.expr)
+		if ho {
+			s.prove(t, s.eng.Samples)
 		} else {
-			if !t.fromCache {
-				s.prove(t, s.eng.Samples)
-			}
-			if s.shouldDegrade(t.outcome, t.panicked) {
-				s.degradeTarget(t, fb)
-			}
+			t.status, t.model = s.solve(t.alt.expr)
 		}
 		t.worker, t.start, t.dur = worker, t0, time.Since(t0)
 		atomic.AddInt64(&s.solveNanos, int64(t.dur))
 		s.stats.ProofsPerWorker[worker]++
-		t.done = true
 	})
 	op := "solve"
 	if ho {
 		op = "prove"
 	}
 	for _, t := range targets {
-		if !t.done {
-			continue // cancelled before this target's turn; nothing to account
+		if s.canceled() { // also every target the fan-out left undone
+			return
 		}
 		// Cache accounting happens here, in constraint order, so the hit and
 		// miss counts are identical at every worker count. (Two targets of
@@ -831,8 +811,7 @@ func (s *searcher) discharge(targets, callback []*target, ex *concolic.Execution
 }
 
 // cached reads t's verdict from the proof cache (ho) or the satisfiability
-// cache into t, reporting whether there was one. A proof hit leaves the
-// degraded rungs' result fields alone: they depend on the parent input.
+// cache into t, reporting whether there was one.
 func (s *searcher) cached(t *target, ho bool) bool {
 	if ho {
 		e, ok := s.cache.lookupProve(t.key)
@@ -851,19 +830,40 @@ func (s *searcher) cached(t *target, ho bool) bool {
 // remember caches t's verdict unless it records wall-clock exhaustion or a
 // recovered panic rather than a property of the formula.
 func (s *searcher) remember(t *target, ho bool) {
-	switch {
-	case ho:
-		if t.outcome != fol.OutcomeTimeout && !t.panicked {
-			s.cache.storeProve(t.key, proveEntry{strategy: t.strategy, outcome: t.outcome})
-		}
-	case t.status != smt.StatusTimeout:
-		s.cache.storeSolve(t.key.formula, solveEntry{status: t.status, model: t.model})
+	if !ho {
+		s.rememberSolve(t.key.formula, t.status, t.model)
+	} else if t.outcome != fol.OutcomeTimeout && !t.panicked {
+		s.cache.storeProve(t.key, proveEntry{strategy: t.strategy, outcome: t.outcome})
 	}
 }
 
+// rememberSolve caches a satisfiability verdict under its formula's key,
+// unless it timed out.
+func (s *searcher) rememberSolve(formula string, status smt.Status, model *smt.Model) {
+	if status != smt.StatusTimeout {
+		s.cache.storeSolve(formula, solveEntry{status: status, model: model})
+	}
+}
+
+// solveCached is the satisfiability check of the ladder's rungs and callback
+// synthesis, which the coordinator makes itself: a lookup in the solve cache
+// under the formula's key, counted as cache traffic, and a solve on a miss.
+func (s *searcher) solveCached(formula string, f sym.Expr) (smt.Status, *smt.Model) {
+	if e, ok := s.cache.solve[formula]; ok {
+		s.stats.ProofCacheHits++
+		return e.status, e.model
+	}
+	s.stats.ProofCacheMisses++
+	status, model := s.solve(f)
+	s.rememberSolve(formula, status, model)
+	return status, model
+}
+
 // applyProof acts on one higher-order verdict: a proved strategy becomes a
-// test (or a multi-step chain), and a proof cut short yields whatever test
-// the degradation ladder found.
+// test (or a multi-step chain). Under Budget.Degrade a proof cut short
+// (timeout, node budget, recovered panic), though never a sound Invalid,
+// walks down the ladder, whose test is tagged with its rung; a ladder the
+// search context cut short is dropped, so the cancel adds no timeout.
 func (s *searcher) applyProof(t *target, ex *concolic.Execution, fb map[int]int64, hot bool) {
 	if s.countVerdict(t) {
 		s.resolveAndEnqueue(&pendingTarget{
@@ -881,28 +881,31 @@ func (s *searcher) applyProof(t *target, ex *concolic.Execution, fb map[int]int6
 		}, true)
 		return
 	}
-	if t.outcome == fol.OutcomeInvalid || t.rung == RungProof {
+	if !s.opts.Budget.Degrade || t.outcome == fol.OutcomeInvalid {
 		return
 	}
-	// The degradation ladder ran: the target carries a lower rung's
-	// satisfiability result. Account it and turn a sat model into a test
-	// tagged with its rung.
-	switch t.rung {
+	t0 := time.Now()
+	rung, status, model := s.degradeTarget(t.alt, fb)
+	atomic.AddInt64(&s.solveNanos, int64(time.Since(t0)))
+	if s.canceled() {
+		return
+	}
+	switch rung {
 	case RungQF:
 		s.stats.Budget.DegradedQF++
 	case RungConcretize:
 		s.stats.Budget.DegradedConc++
 	}
-	if t.status == smt.StatusTimeout {
+	if status == smt.StatusTimeout {
 		s.stats.Budget.ProofTimeouts++
 	}
 	if s.tracing() {
 		s.emit(obs.Event{Kind: "degrade", Worker: -1,
 			Num: map[string]int64{"k": int64(t.k)},
-			Str: map[string]string{"rung": t.rung.String(), "status": t.status.String()}})
+			Str: map[string]string{"rung": rung.String(), "status": status.String()}})
 	}
-	if t.status == smt.StatusSat {
-		s.enqueueTest(s.inputFrom(t.model.Vars, ex.Input), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, t.rung)
+	if status == smt.StatusSat {
+		s.enqueueTest(s.inputFrom(model.Vars, ex.Input), ex.Funcs, ex.Prediction(t.k), t.k+1, hot, rung)
 	}
 }
 

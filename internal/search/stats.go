@@ -66,16 +66,20 @@ type Stats struct {
 
 	// Workers is the resolved worker count the search ran with.
 	Workers int
-	// ProofCacheHits and ProofCacheMisses account the formula-keyed proof
-	// cache, in coordinator apply order — deterministic at any worker count.
+	// ProofCacheHits and ProofCacheMisses account every lookup of the
+	// formula-keyed proof and solve cache — each target's verdict, and each
+	// ladder rung and callback synthesis solve — in coordinator apply order,
+	// so they are deterministic at any worker count.
 	ProofCacheHits   int
 	ProofCacheMisses int
 	// ProofsPerWorker[w] counts the prover/solver tasks worker w executed.
 	// The total is deterministic; the split depends on scheduling.
 	ProofsPerWorker []int64
-	// WallTime is the elapsed time of the whole search; SolveTime is the sum
-	// of the individual prover/solver task durations across all workers.
-	// SolveTime greater than WallTime is the parallel speedup showing up.
+	// WallTime is the elapsed time of the whole search. SolveTime is the sum
+	// of the time spent proving and solving targets: the fan-out's tasks
+	// across all workers, plus the degradation ladder and callback targets,
+	// which the coordinator discharges itself. SolveTime greater than
+	// WallTime is the parallel speedup showing up.
 	WallTime  time.Duration
 	SolveTime time.Duration
 

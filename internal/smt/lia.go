@@ -41,10 +41,13 @@ type Bound struct {
 	HasLo, HasHi bool
 }
 
+// bnbNodes is the branch-and-bound node budget of one theory check.
+const bnbNodes = 20000
+
 // SolveLIA decides feasibility of the conjunction of the inequalities over
 // integer variables 0..nvars-1 subject to per-variable bounds, using rational
 // simplex relaxations refined by branch-and-bound. maxNodes caps the number
-// of explored branch nodes (0 means a generous default).
+// of explored branch nodes (0 means bnbNodes).
 func SolveLIA(nvars int, ineqs []Ineq, bounds []Bound, maxNodes int) ([]int64, Status) {
 	return solveLIA(nvars, ineqs, bounds, maxNodes, nil)
 }
@@ -53,7 +56,7 @@ func SolveLIA(nvars int, ineqs []Ineq, bounds []Bound, maxNodes int) ([]int64, S
 // the search unwinds and reports StatusTimeout. A nil stop never fires.
 func solveLIA(nvars int, ineqs []Ineq, bounds []Bound, maxNodes int, stop func() bool) ([]int64, Status) {
 	if maxNodes <= 0 {
-		maxNodes = 20000
+		maxNodes = bnbNodes
 	}
 	budget := maxNodes
 	extra := make([]Bound, nvars)

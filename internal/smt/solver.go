@@ -24,10 +24,6 @@ type Options struct {
 	Pool *sym.Pool
 	// VarBounds gives per-variable domains, keyed by sym Var ID.
 	VarBounds map[int]Bound
-	// MaxConflicts caps the SAT search (0 = default).
-	MaxConflicts int
-	// MaxNodes caps branch-and-bound nodes per theory check (0 = default).
-	MaxNodes int
 	// MaxTheoryRounds caps lazy SAT↔theory iterations (0 = default 200).
 	MaxTheoryRounds int
 	// Obs, when non-nil, collects solver metrics: per-theory solve latency
@@ -154,7 +150,7 @@ func solve(f sym.Expr, opts Options) (Status, *Model) {
 	}
 
 	stop := opts.stopProbe()
-	sat := NewSAT(opts.MaxConflicts)
+	sat := NewSAT(0)
 	sat.SetStop(stop)
 	comp := newCompiler(sat)
 	top := comp.compile(f)
@@ -270,7 +266,7 @@ func theoryLoop(sat *SAT, comp *compiler, opts Options, stop func() bool, block 
 		if o.Enabled() {
 			tLIA = time.Now()
 		}
-		model, st := solveLIA(nvars, ineqs, bounds, opts.MaxNodes, stop)
+		model, st := solveLIA(nvars, ineqs, bounds, bnbNodes, stop)
 		if o.Enabled() {
 			o.Histogram("smt.lia.ns").Observe(int64(time.Since(tLIA)))
 		}
@@ -282,7 +278,7 @@ func theoryLoop(sat *SAT, comp *compiler, opts Options, stop func() bool, block 
 		}
 		// Theory conflict: shrink to a small core and block it.
 		o.Counter("smt.theory_conflicts").Inc()
-		core := minimizeCore(nvars, ineqs, bounds, opts.MaxNodes)
+		core := minimizeCore(nvars, ineqs, bounds, bnbNodes)
 		if stop != nil && stop() {
 			return StatusTimeout, nil
 		}
@@ -361,7 +357,7 @@ func conflictSeed(nvars int, ineqs []Ineq, bounds []Bound, maxNodes int) []int {
 	cert := make(map[int]bool)
 	budget := maxNodes
 	if budget <= 0 {
-		budget = 20000
+		budget = bnbNodes
 	}
 	extra := make([]Bound, nvars)
 	copy(extra, bounds)

@@ -28,7 +28,7 @@ func FirstUnsat(base sym.Expr, cases []sym.Expr, opts Options) int {
 	var comp *compiler
 	warm := !sym.HasApply(base)
 	if warm {
-		sat = NewSAT(opts.MaxConflicts)
+		sat = NewSAT(0)
 		sat.SavePhase(true)
 		comp = newCompiler(sat)
 		comp.journal = true
